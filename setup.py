@@ -1,10 +1,11 @@
-"""Setuptools shim.
+"""Package metadata and install entry point.
 
-The canonical build configuration lives in ``pyproject.toml``; this file
-exists so the package can be installed in editable mode on offline machines
-whose pip/setuptools tool-chain lacks the ``wheel`` package (``pip install -e .``
-falls back to the legacy ``setup.py develop`` path, and
-``python setup.py develop`` works directly).
+This file is the whole build configuration (the repository has no
+``pyproject.toml``).  ``pip install -e .`` installs the package in editable
+mode; on offline machines whose pip/setuptools tool-chain lacks the ``wheel``
+package it falls back to the legacy ``setup.py develop`` path, and
+``python setup.py develop`` works directly.  Running from a checkout needs no
+install at all: ``PYTHONPATH=src python -m repro``.
 """
 
 from setuptools import find_packages, setup

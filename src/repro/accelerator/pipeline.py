@@ -53,7 +53,7 @@ from repro.graphs.datasets import Dataset
 from repro.graphs.graph import CSRGraph
 from repro.memory.dram import DRAMModel, TrafficPattern
 from repro.memory.energy import EnergyTable
-from repro.memory.replay import ReplayEngine, TraceCache, array_token
+from repro.memory.replay import ReplayEngine, TraceCache
 from repro.memory.rowcache import RowCache, RowCacheStats
 from repro.resilience.faults import fault_point
 from repro.resilience.policy import check_deadline
@@ -254,39 +254,21 @@ class RunContext:
     #: ``schedule_capacity_bytes`` (a capacity-sweep override resizing the
     #: physical cache under the design's nominal schedule).
     schedule_cache_lines: Optional[int] = None
-    #: Lazily-built replay engines (built on first vectorized replay, so the
-    #: legacy backend never pays for a structure it will not use).
+    #: Lazily-built replay engine over the full trace (built on first
+    #: vectorized replay, so the legacy backend never pays for a structure it
+    #: will not use).  Pinned designs pass their pinned set per replay call.
     replay_engine: Optional[ReplayEngine] = None
-    replay_engine_full: Optional[ReplayEngine] = None
 
     def engine(self) -> ReplayEngine:
-        """Replay engine with the pinned partition folded in."""
+        """Replay engine over the full trace, shared through the trace cache."""
         if self.replay_engine is None:
-            builder = lambda: ReplayEngine(self.trace, pinned=self.pinned_vertices)
+            builder = lambda: ReplayEngine(self.trace)
             if self.trace_cache is not None and self.trace_token is not None:
-                pinned_token = (
-                    array_token(self.pinned_vertices) if self.pinned_vertices.size else None
-                )
-                key = ("engine",) + self.trace_token + (pinned_token,)
+                key = ("engine",) + self.trace_token
                 self.replay_engine = _trace_cache_get(self.trace_cache, key, builder)
             else:
                 self.replay_engine = builder()
         return self.replay_engine
-
-    def engine_full(self) -> ReplayEngine:
-        """Replay engine over the full trace (first-layer dense replay)."""
-        if not self.pinned_vertices.size:
-            return self.engine()
-        if self.replay_engine_full is None:
-            builder = lambda: ReplayEngine(self.trace)
-            if self.trace_cache is not None and self.trace_token is not None:
-                key = ("engine",) + self.trace_token + (None,)
-                self.replay_engine_full = _trace_cache_get(
-                    self.trace_cache, key, builder
-                )
-            else:
-                self.replay_engine_full = builder()
-        return self.replay_engine_full
 
 
 def _reordered_for_locality(graph: CSRGraph) -> CSRGraph:
@@ -682,11 +664,13 @@ def _layer_replay(
                 stats_list = [
                     per_table[0]
                     for per_table in context.engine().replay_spectrum_many(
-                        pass_sizes, shared_spectrum
+                        pass_sizes, shared_spectrum, context.pinned_vertices
                     )
                 ]
             else:
-                stats_list = context.engine().replay_many(pass_sizes, shared_capacity)
+                stats_list = context.engine().replay_many(
+                    pass_sizes, shared_capacity, context.pinned_vertices
+                )
         for stats in stats_list:
             aggregate.accesses += stats.accesses
             aggregate.hits += stats.hits
@@ -742,8 +726,8 @@ def _first_layer_replay(
     if get_replay_backend() == "vectorized":
         spectrum = _spectrum_lines(context)
         if spectrum and context.trace.size:
-            return context.engine_full().replay_spectrum(sizes, spectrum)[0]
-        return context.engine_full().replay(sizes, context.cache_lines)
+            return context.engine().replay_spectrum(sizes, spectrum)[0]
+        return context.engine().replay(sizes, context.cache_lines)
     cache = RowCache(context.cache_lines)
     return cache.access_trace(context.trace, sizes)
 

@@ -30,10 +30,23 @@ in-window occurrence of each distinct row).  The tree's permutations and
 query positions depend only on the *trace*, not on the sizes, so the
 structure is built once per trace (:class:`ReplayEngine`) and each
 evaluation — per feature pass, per layer, per accelerator configuration —
-is a handful of gathers and cumulative sums.  :class:`TraceCache` memoizes
-the engines (and the traces they replay) across runs; a sweep over N
-accelerators x M cache sizes builds each trace structure once instead of
-N x M times.
+is a handful of gathers and cumulative sums.
+
+The build is one pass per tree level with no sort, ``searchsorted`` or
+``levels x n`` matrix, in the spirit of one-pass LRU stack processing
+(Mattson et al. 1970; Bennett & Kruskal 1975).  The repeat accesses start
+in prev-ascending order — the successor links read in index order, since
+``prev`` is injective on them — which is the top level's single block.
+Going down the levels, a stable left/right partition inside every block
+yields each level's block-grouped, prev-sorted arrangement; the left halves
+are the level's contributor segment, and every query's bounds are prefix
+counts of left elements.  See :meth:`ReplayEngine._build_structure`.
+
+One engine serves every pinned-partition set of its trace (EnGN's DAVC):
+pinned accesses take size 0 and are folded in analytically per call.
+:class:`TraceCache` memoizes the engines (and the traces they replay)
+across runs; a sweep over N accelerators x M cache sizes builds each trace
+structure once instead of N x M times.
 """
 
 from __future__ import annotations
@@ -41,7 +54,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +67,14 @@ from repro.telemetry.spans import span
 #: halve the structure's footprint.
 _INDEX_DTYPE = np.int32
 
+#: Elements per chunk of the evaluation's tree gathers: the temporaries stay
+#: a few hundred KB however long the trace.
+_EVAL_CHUNK = 1 << 15
+
+#: Result-memo key: (size-table digest, pinned-set digest or ``None``,
+#: capacity in lines).
+_MemoKey = Tuple[str, Optional[str], int]
+
 
 def _previous_occurrences(trace: np.ndarray) -> np.ndarray:
     """Index of each access's previous occurrence of the same row (-1 if none)."""
@@ -61,11 +82,29 @@ def _previous_occurrences(trace: np.ndarray) -> np.ndarray:
     prev = np.full(n, -1, dtype=np.int64)
     if n < 2:
         return prev
-    order = np.argsort(trace, kind="stable")
+    # Row ids that fit in 16 bits take numpy's radix sort (its stable sort
+    # for small integer types), several times faster than the int64 one.
+    if 0 <= trace.min() and trace.max() <= np.iinfo(np.uint16).max:
+        order = np.argsort(trace.astype(np.uint16), kind="stable")
+    else:
+        order = np.argsort(trace, kind="stable")
     sorted_rows = trace[order]
     same = sorted_rows[1:] == sorted_rows[:-1]
     prev[order[1:][same]] = order[:-1][same]
     return prev
+
+
+class _AccessSizes(NamedTuple):
+    """Per-access sizes of one evaluation, pinned partition split off."""
+
+    #: Per-access sizes; accesses to pinned rows are zeroed, so they add
+    #: nothing to any reuse window.
+    sizes: np.ndarray
+    #: Repeat accesses outside the pinned partition (the hit candidates).
+    replayed: np.ndarray
+    #: Accesses to pinned rows (all hits) and the lines they read.
+    pinned_accesses: int
+    pinned_lines: int
 
 
 class ReplayEngine:
@@ -77,52 +116,46 @@ class ReplayEngine:
     evaluate a new per-row size table (a new feature pass or layer) without
     touching a Python loop.
 
+    Every replay method takes an optional ``pinned`` set: row ids held in a
+    dedicated cache partition (EnGN's DAVC).  Their accesses always hit and
+    never compete for the shared capacity.  One engine over the full trace
+    serves every pinned set: a pinned access gets size 0, so it adds nothing
+    to any reuse window, and a non-pinned access's previous occurrence is the
+    same access whether or not the pinned ones are in the trace.  The pinned
+    accesses are then left out of the hit and size folds and added back as
+    hits, which is exactly replaying the trace with them filtered out.
+
     Args:
         trace: ``int64`` row ids in access order (one entry per feature-row
             access), as produced by
             :func:`repro.accelerator.tiling.aggregation_access_trace`.
-        pinned: Optional row ids held in a dedicated cache partition (EnGN's
-            DAVC).  Their accesses always hit and never compete for the
-            shared capacity; the engine filters them out of the replayed
-            trace and accounts for them analytically, reproducing the
-            pinned-partition semantics of the simulator in one place.
     """
 
-    def __init__(self, trace: np.ndarray, pinned: Optional[np.ndarray] = None) -> None:
+    def __init__(self, trace: np.ndarray) -> None:
         with span("engine_build"):
             trace = np.ascontiguousarray(trace, dtype=np.int64)
             if trace.ndim != 1:
                 raise ConfigurationError("trace must be a one-dimensional array")
             self.total_accesses = int(trace.size)
-
-            if pinned is not None and len(pinned) and trace.size:
-                pinned = np.asarray(pinned, dtype=np.int64)
-                lookup = np.zeros(int(trace.max()) + 1, dtype=bool)
-                lookup[pinned[pinned <= trace.max()]] = True
-                pinned_mask = lookup[trace]
-                self.pinned_rows = trace[pinned_mask]
-                self.trace = trace[~pinned_mask]
-            else:
-                self.pinned_rows = np.zeros(0, dtype=np.int64)
-                self.trace = trace
-
-            self.prev = _previous_occurrences(self.trace)
+            self.trace = trace
+            prev = _previous_occurrences(trace)
             # Eval-loop constants: clipped previous-occurrence index (+1, for
             # the exclusive prefix-sum lookup) and the repeat-access mask.
-            self._prev_plus1 = np.where(self.prev >= 0, self.prev, 0) + 1
-            self._seen_before = self.prev >= 0
-            self._build_structure(self.trace.size, self.prev)
-        # Result memo keyed by (size-table digest, capacity).  Dense-style
-        # formats feed the same constant table for every layer and pass of a
-        # run, so most evaluations of an engine repeat a previous one.
-        self._memo: "OrderedDict[Tuple[str, int], RowCacheStats]" = OrderedDict()
+            self._seen_before = prev >= 0
+            self._prev_plus1 = (np.maximum(prev, 0) + 1).astype(_INDEX_DTYPE)
+            self._build_structure(trace.size, prev)
+        # Result memo keyed by (size-table digest, pinned-set digest,
+        # capacity).  Dense-style formats feed the same constant table for
+        # every layer and pass of a run, so most evaluations of an engine
+        # repeat a previous one.
+        self._memo: "OrderedDict[_MemoKey, RowCacheStats]" = OrderedDict()
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_evictions = 0
-        # Size-table digest memo keyed by object identity.  The strong
-        # reference to the table keeps its id() from being recycled; tables
-        # are never mutated in place by the simulator, so identity implies
-        # content equality.
+        # Size-table and pinned-set digest memo keyed by object identity.
+        # The strong reference to the array keeps its id() from being
+        # recycled; the simulator never mutates them in place, so identity
+        # implies content equality.
         self._token_cache: "OrderedDict[int, Tuple[np.ndarray, str]]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
@@ -150,8 +183,34 @@ class ReplayEngine:
         per-level contributions of each query together (``_reduce_starts``
         / ``_query_rows``).  Everything here depends only on the trace,
         never on the size tables.
+
+        The build needs no sort.  Only repeat accesses (``prev >= 0``) take
+        part on either side — a first occurrence can never satisfy
+        ``prev[j] > prev[i] >= 0`` — and ``prev`` is injective on them, so
+        their prev-ascending order is the successor array read in index
+        order (one scatter).  That is the level-``L`` arrangement: a single
+        block.  Walking down from level ``L`` to 1, each level's
+        arrangement is grouped by block and prev-ascending inside a block:
+
+        * its left-half elements, in order, are the level's contributor
+          segment of ``_gather``;
+        * a right-half element (a query) at slot ``t`` of block ``B`` has
+          ``lo``/``hi`` = the exclusive count of left elements before slot
+          ``t`` / before the end of ``B``, and is live iff ``lo < hi``;
+        * a stable left/right partition inside every block yields the next
+          level's arrangement.  In any block-grouped arrangement the slots
+          of a block are a prefix-count range of the repeat positions, so
+          slot ``k`` belongs to the block of the ``k``-th repeat position:
+          the partition is two boolean-mask assignments.
+
+        Finally the per-level query entries are grouped by position (levels
+        ascending inside a group) by a counting placement into
+        ``bincount``/``cumsum`` slots.
         """
-        if n < 2 or not np.any(prev >= 0):
+        seen = prev >= 0
+        repeats = np.flatnonzero(seen).astype(_INDEX_DTYPE)
+        num_repeats = repeats.size
+        if num_repeats == 0:
             self._gather = np.zeros(0, dtype=_INDEX_DTYPE)
             self._reduce_starts = np.zeros(0, dtype=_INDEX_DTYPE)
             self._query_rows = np.zeros(0, dtype=_INDEX_DTYPE)
@@ -160,66 +219,69 @@ class ReplayEngine:
             return
 
         # Position j is a contributor at level l (1-based, half-width
-        # 2**(l-1)) iff bit l-1 of j is 0 (left half of its block), a query
-        # iff that bit is 1; (level, block) pairs are numbered like heap
-        # nodes so the whole tree flattens into ONE sort.  First occurrences
-        # (prev < 0) are dropped from both sides outright: they can never
-        # satisfy prev[j] > prev[i] >= 0.
-        num_levels = max(1, int(np.ceil(np.log2(n))))
-        levels = np.arange(1, num_levels + 1, dtype=np.int64)
-        positions = np.arange(n, dtype=np.int64)
-        seen = prev >= 0
-        side = (positions[None, :] >> (levels[:, None] - 1)) & 1
-        level_of, pos_of = np.nonzero((side == 0) & seen[None, :])
-        level_of += 1
-        node_of = (np.int64(1) << (num_levels - level_of)) + (pos_of >> level_of)
+        # 2**(l-1)) iff bit l-1 of j is 0 (left half of its block j >> l),
+        # a query iff that bit is 1.
+        num_levels = (n - 1).bit_length()
+        successor = np.full(n, -1, dtype=_INDEX_DTYPE)
+        successor[prev[repeats]] = repeats
+        arrangement = successor[successor >= 0]
 
-        q_level, q_pos = np.nonzero((side == 1) & seen[None, :])
-        q_level += 1
-        q_node = (np.int64(1) << (num_levels - q_level)) + (q_pos >> q_level)
-        node_space = (np.int64(1) << num_levels) + 1
+        # repeats_before[p]: repeat positions below p (p padded to 2**L),
+        # i.e. the first slot of a block starting at p in any arrangement.
+        repeats_before = np.full((1 << num_levels) + 1, num_repeats, dtype=_INDEX_DTYPE)
+        repeats_before[0] = 0
+        np.cumsum(seen, dtype=_INDEX_DTYPE, out=repeats_before[1 : n + 1])
 
-        span = np.int64(n) + 2
-        key = node_of * span + (prev[pos_of] + 1)
-        order = np.argsort(key, kind="stable")
-        gather = pos_of[order]
-        sorted_key = key[order]
-        node_sorted = node_of[order]
+        segments: List[np.ndarray] = []
+        queries: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        left_before = np.zeros(num_repeats + 1, dtype=_INDEX_DTYPE)
+        offset = 0
+        for level in range(num_levels, 0, -1):
+            bit = _INDEX_DTYPE(1 << (level - 1))
+            right = (arrangement & bit) != 0
+            np.cumsum(~right, dtype=_INDEX_DTYPE, out=left_before[1:])
+            contributors = arrangement[~right]
+            query_slots = np.flatnonzero(right)
+            query_pos = arrangement[query_slots]
+            lo = left_before[query_slots]
+            block_end = repeats_before[((query_pos >> level) + 1) << level]
+            hi = left_before[block_end]
+            live = lo < hi
+            queries.append(
+                (query_pos[live].astype(np.intp), lo[live] + offset, hi[live] + offset)
+            )
+            segments.append(contributors)
+            offset += contributors.size
+            if level > 1:
+                child_right = (repeats & bit) != 0
+                arrangement = np.empty_like(arrangement)
+                arrangement[~child_right] = contributors
+                arrangement[child_right] = query_pos
 
-        # A query is live iff some contributor of its node has a larger
-        # prev — i.e. its prev is below the node's maximum.  Each node's
-        # segment is prev-ascending, so a last-write-wins fancy assignment
-        # leaves exactly the per-node maximum; filtering on it *before* the
-        # searchsorted removes the (typically dominant) dead majority.
-        node_max_prev = np.full(node_space, -2, dtype=np.int64)
-        node_max_prev[node_sorted] = prev[gather]
-        live = prev[q_pos] < node_max_prev[q_node]
-        q_pos, q_node = q_pos[live], q_node[live]
-
-        lo = np.searchsorted(sorted_key, q_node * span + (prev[q_pos] + 1), side="right")
-        max_node = int(node_sorted[-1]) if node_sorted.size else 0
-        segment_ends = np.cumsum(np.bincount(node_sorted, minlength=max_node + 2))
-        hi = segment_ends[np.minimum(q_node, max_node + 1)]
-
-        # Group the per-level query entries by query position so one
-        # reduceat folds every level's contribution of a query together.
-        grouping = np.argsort(q_pos, kind="stable")
-        grouped = q_pos[grouping]
-        is_start = np.ones(grouped.size, dtype=bool)
-        if grouped.size:
-            is_start[1:] = grouped[1:] != grouped[:-1]
-        self._gather = gather.astype(_INDEX_DTYPE)
-        self._reduce_starts = np.flatnonzero(is_start).astype(_INDEX_DTYPE)
-        self._query_rows = grouped[is_start].astype(_INDEX_DTYPE)
-        self._lo = lo[grouping].astype(_INDEX_DTYPE)
-        self._hi = hi[grouping].astype(_INDEX_DTYPE)
+        # Counting placement: a position's group starts at the exclusive
+        # prefix sum of the live-entry counts, and its entries fill the group
+        # in ascending level order (each level holds a position at most once).
+        counts = np.bincount(np.concatenate([rows for rows, _, _ in queries]), minlength=n)
+        fill = np.zeros(n, dtype=np.intp)
+        np.cumsum(counts[:-1], out=fill[1:])
+        query_rows = np.flatnonzero(counts)
+        self._query_rows = query_rows.astype(_INDEX_DTYPE)
+        self._reduce_starts = fill[query_rows].astype(_INDEX_DTYPE)
+        self._lo = np.empty(int(counts.sum()), dtype=_INDEX_DTYPE)
+        self._hi = np.empty_like(self._lo)
+        for rows, lo, hi in reversed(queries):
+            slots = fill[rows]
+            self._lo[slots] = lo
+            self._hi[slots] = hi
+            fill[rows] = slots + 1
+        self._gather = np.concatenate(segments)
 
     def structure_bytes(self) -> int:
-        """Approximate memory footprint of the precomputed structure."""
+        """Memory footprint of every array the engine keeps."""
         return int(
-            self.prev.nbytes
-            + self.trace.nbytes
-            + self.pinned_rows.nbytes
+            self.trace.nbytes
+            + self._prev_plus1.nbytes
+            + self._seen_before.nbytes
             + self._gather.nbytes
             + self._reduce_starts.nbytes
             + self._query_rows.nbytes
@@ -231,7 +293,10 @@ class ReplayEngine:
     # Evaluation
     # ------------------------------------------------------------------ #
     def replay_many(
-        self, size_tables: Sequence[np.ndarray], capacity_lines: int
+        self,
+        size_tables: Sequence[np.ndarray],
+        capacity_lines: int,
+        pinned: Optional[np.ndarray] = None,
     ) -> List[RowCacheStats]:
         """Replay the trace once per size table (one table per feature pass).
 
@@ -240,14 +305,20 @@ class ReplayEngine:
                 per pass; each pass starts from an empty cache, matching the
                 per-pass ``flush()`` of the reference path.
             capacity_lines: Shared-cache capacity in cachelines.
+            pinned: Row ids held in the dedicated pinned partition, if any.
 
         Returns:
             One :class:`RowCacheStats` per table, bit-identical to replaying
-            the same trace through :meth:`RowCache.access_trace`.
+            the same trace through :meth:`RowCache.access_trace` (with the
+            pinned accesses counted as hits outside the shared cache).
         """
         if capacity_lines <= 0:
             raise ConfigurationError("cache capacity must be positive")
-        return [self._replay_one(table, capacity_lines) for table in size_tables]
+        pinned, pinned_token = self._pinned_key(pinned)
+        return [
+            self._replay_one(table, int(capacity_lines), pinned, pinned_token)
+            for table in size_tables
+        ]
 
     #: Result-memo capacity.  A single run touches at most a few distinct
     #: tables, but a capacity sweep seeds tables x capacities entries (a
@@ -256,11 +327,11 @@ class ReplayEngine:
     #: entries are a few dozen bytes each.
     MEMO_ENTRIES = 512
 
-    #: Table-digest memo capacity; a run feeds a handful of distinct tables.
+    #: Digest memo capacity; a run feeds a handful of distinct tables.
     TOKEN_ENTRIES = 16
 
     def _table_token(self, table: np.ndarray) -> str:
-        """Digest of a size table, memoized on object identity.
+        """Digest of a size table (or pinned set), memoized on object identity.
 
         Dense formats feed the *same* constant table object for every pass
         of every layer; hashing its full contents on each memo lookup costs
@@ -279,17 +350,29 @@ class ReplayEngine:
             self._token_cache.popitem(last=False)
         return token
 
+    def _pinned_key(
+        self, pinned: Optional[np.ndarray]
+    ) -> Tuple[Optional[np.ndarray], Optional[str]]:
+        """The pinned set as a contiguous ``int64`` array plus its digest.
+
+        ``(None, None)`` when nothing is pinned (or the trace is empty), so
+        unpinned replays share one memo namespace however they spell it.
+        """
+        if pinned is None or not len(pinned) or not self.trace.size:
+            return None, None
+        pinned = np.ascontiguousarray(pinned, dtype=np.int64)
+        return pinned, self._table_token(pinned)
+
     def _replay_one(
         self,
         table: np.ndarray,
         capacity_lines: int,
-        token: Optional[str] = None,
+        pinned: Optional[np.ndarray],
+        pinned_token: Optional[str],
     ) -> RowCacheStats:
         """Evaluate one size table; every operation is a flat 1-D array op."""
         table = np.ascontiguousarray(table, dtype=np.int64)
-        if token is None:
-            token = self._table_token(table)
-        memo_key = (token, int(capacity_lines))
+        memo_key = (self._table_token(table), pinned_token, capacity_lines)
         cached = self._memo.get(memo_key)
         if cached is not None:
             self._memo.move_to_end(memo_key)
@@ -297,18 +380,18 @@ class ReplayEngine:
             return replace(cached)
         self.memo_misses += 1
         with span("replay_evaluate"):
-            stats = self._evaluate(table, capacity_lines)
+            stats = self._evaluate(table, capacity_lines, pinned)
         self._memo_store(memo_key, stats)
         return stats
 
-    def _memo_store(self, memo_key: Tuple[str, int], stats: RowCacheStats) -> None:
+    def _memo_store(self, memo_key: _MemoKey, stats: RowCacheStats) -> None:
         self._memo[memo_key] = replace(stats)
         while len(self._memo) > self.MEMO_ENTRIES:
             self._memo.popitem(last=False)
             self.memo_evictions += 1
 
     def memo_stats(self) -> Dict[str, int]:
-        """Hit/miss/eviction counters of the per-(table, capacity) memo."""
+        """Hit/miss/eviction counters of the per-(table, pinned set, capacity) memo."""
         return {
             "hits": self.memo_hits,
             "misses": self.memo_misses,
@@ -332,103 +415,117 @@ class ReplayEngine:
 
         # Duplicate-occurrence sums via the flattened tree: one gather, one
         # cumulative sum, one suffix-sum lookup, one exact segment reduction.
+        # The gathers write straight into their outputs in chunks, so the
+        # only tree-sized arrays an evaluation allocates are those outputs
+        # (``take`` converts each index chunk to ``intp``; ``mode="clip"``
+        # skips the buffering of ``out``, and every index is in range by
+        # construction).
         if self._gather.size:
-            permuted = weights[self._gather]
-            tree_cumulative = np.zeros(permuted.size + 1, dtype=np.int64)
-            np.cumsum(permuted, out=tree_cumulative[1:])
-            contributions = tree_cumulative[self._hi]
-            contributions -= tree_cumulative[self._lo]
+            tree_cumulative = np.empty(self._gather.size + 1, dtype=np.int64)
+            tree_cumulative[0] = 0
+            permuted = tree_cumulative[1:]
+            for start in range(0, self._gather.size, _EVAL_CHUNK):
+                chunk = slice(start, start + _EVAL_CHUNK)
+                np.take(weights, self._gather[chunk], out=permuted[chunk], mode="clip")
+            np.cumsum(permuted, out=permuted)
+            contributions = np.empty(self._lo.size, dtype=np.int64)
+            for start in range(0, self._lo.size, _EVAL_CHUNK):
+                chunk = slice(start, start + _EVAL_CHUNK)
+                out = contributions[chunk]
+                np.take(tree_cumulative, self._hi[chunk], out=out, mode="clip")
+                out -= tree_cumulative[self._lo[chunk]]
             footprint[self._query_rows] -= np.add.reduceat(
                 contributions, self._reduce_starts
             )
         return footprint
 
+    def _access_sizes(
+        self, table: np.ndarray, pinned: Optional[np.ndarray]
+    ) -> _AccessSizes:
+        """Per-access sizes of one table, with the pinned partition split off."""
+        sizes = table[self.trace]
+        if pinned is None:
+            return _AccessSizes(sizes, self._seen_before, 0, 0)
+        top = int(self.trace.max())
+        lookup = np.zeros(top + 1, dtype=bool)
+        lookup[pinned[pinned <= top]] = True
+        in_partition = lookup[self.trace]
+        pinned_lines = int(sizes.sum(where=in_partition))
+        sizes[in_partition] = 0
+        return _AccessSizes(
+            sizes,
+            self._seen_before & ~in_partition,
+            int(np.count_nonzero(in_partition)),
+            pinned_lines,
+        )
+
     def _hit_stats(
-        self,
-        sizes: np.ndarray,
-        footprint: np.ndarray,
-        capacity_lines: int,
-        pinned_lines: int,
+        self, access: _AccessSizes, footprint: np.ndarray, capacity_lines: int
     ) -> RowCacheStats:
         """Fold one capacity's hit test over a precomputed footprint array."""
         hit = footprint <= capacity_lines
-        hit &= self._seen_before
+        hit &= access.replayed
 
-        hits = int(np.count_nonzero(hit))
+        sizes = access.sizes
+        hits = int(np.count_nonzero(hit)) + access.pinned_accesses
         hit_lines = int(sizes.sum(where=hit, initial=0))
-        miss_lines = int(sizes.sum()) - hit_lines
-        return self._merge_pinned(
-            self.trace.size, hits, hit_lines, miss_lines, pinned_lines
+        return RowCacheStats(
+            accesses=self.trace.size,
+            hits=hits,
+            misses=self.trace.size - hits,
+            miss_lines=int(sizes.sum()) - hit_lines,
+            hit_lines=hit_lines + access.pinned_lines,
         )
 
-    def _evaluate(self, table: np.ndarray, capacity_lines: int) -> RowCacheStats:
-        n = self.trace.size
-        pinned_lines = int(table[self.pinned_rows].sum())
-        if n == 0:
-            return self._merge_pinned(0, 0, 0, 0, pinned_lines)
-
-        sizes = table[self.trace]  # true per-access sizes
-        weights = np.where(sizes <= capacity_lines, sizes, 0)
-        footprint = self._footprint(sizes, weights)
-        return self._hit_stats(sizes, footprint, capacity_lines, pinned_lines)
+    def _evaluate(
+        self, table: np.ndarray, capacity_lines: int, pinned: Optional[np.ndarray]
+    ) -> RowCacheStats:
+        if self.trace.size == 0:
+            return RowCacheStats()
+        access = self._access_sizes(table, pinned)
+        weights = np.where(access.sizes <= capacity_lines, access.sizes, 0)
+        footprint = self._footprint(access.sizes, weights)
+        return self._hit_stats(access, footprint, capacity_lines)
 
     def replay_spectrum(
-        self, table: np.ndarray, capacities: Sequence[int]
+        self,
+        table: np.ndarray,
+        capacities: Sequence[int],
+        pinned: Optional[np.ndarray] = None,
     ) -> List[RowCacheStats]:
         """Replay one size table against a whole vector of capacities.
 
         The mergesort-tree structure is capacity-independent, and the
-        capacity enters :meth:`_evaluate` only through the streaming
-        threshold (``sizes <= cap``) and the final ``footprint <= cap``
-        compare.  Two capacities produce identical weight vectors iff no
-        access size lies strictly between them, so the capacities are
-        grouped by ``searchsorted`` over the unique access sizes: one
-        footprint computation per group, then one cheap broadcast hit test
-        per capacity.  In the common case — every row fits in every queried
+        capacity enters the evaluation only through the streaming threshold
+        (``sizes <= cap``) and the final ``footprint <= cap`` compare.  Two
+        capacities produce identical weight vectors iff no access size lies
+        strictly between them, so the capacities are grouped by
+        ``searchsorted`` over the unique access sizes: one footprint
+        computation per group, then one cheap broadcast hit test per
+        capacity.  In the common case — every row fits in every queried
         capacity — that is a *single* group for the entire spectrum.
 
-        Results are stored in the same ``(table-digest, capacity)`` memo
-        that :meth:`replay` uses, so a later single-capacity call returns
-        the spectrum-computed value (bit-identical: the per-group math is
-        exactly :meth:`_evaluate`'s, in the same integer ops).
+        Results are stored in the same ``(table-digest, pinned-digest,
+        capacity)`` memo that :meth:`replay` uses, so a later
+        single-capacity call returns the spectrum-computed value
+        (bit-identical: the per-group math is exactly :meth:`_evaluate`'s,
+        in the same integer ops).
 
         Args:
             table: Per-row size lookup table (indexed by row id).
             capacities: Cache capacities in cachelines; duplicates allowed.
+            pinned: Row ids held in the dedicated pinned partition, if any.
 
         Returns:
             One :class:`RowCacheStats` per requested capacity, in order.
         """
-        caps = [int(capacity) for capacity in capacities]
-        if any(capacity <= 0 for capacity in caps):
-            raise ConfigurationError("cache capacity must be positive")
-        table = np.ascontiguousarray(table, dtype=np.int64)
-        token = self._table_token(table)
-
-        results: Dict[int, RowCacheStats] = {}
-        missing: List[int] = []
-        for capacity in caps:
-            if capacity in results:
-                continue
-            cached = self._memo.get((token, capacity))
-            if cached is not None:
-                self._memo.move_to_end((token, capacity))
-                self.memo_hits += 1
-                results[capacity] = cached
-            else:
-                missing.append(capacity)
-
-        if missing:
-            with span("replay_evaluate"):
-                computed = self._evaluate_spectrum(table, sorted(missing))
-            for capacity, stats in computed.items():
-                self.memo_misses += 1
-                self._memo_store((token, capacity), stats)
-                results[capacity] = stats
-        return [replace(results[capacity]) for capacity in caps]
+        return self.replay_spectrum_many([table], capacities, pinned)[0]
 
     def replay_spectrum_many(
-        self, size_tables: Sequence[np.ndarray], capacities: Sequence[int]
+        self,
+        size_tables: Sequence[np.ndarray],
+        capacities: Sequence[int],
+        pinned: Optional[np.ndarray] = None,
     ) -> List[List[RowCacheStats]]:
         """Replay many size tables against a shared capacity vector.
 
@@ -436,13 +533,13 @@ class ReplayEngine:
         deduplication *before* evaluation: tables with equal content (dense
         formats feed dozens of identical pass tables per run) collapse to
         one evaluation per distinct digest, and results land in the same
-        ``(table-digest, capacity)`` memo as :meth:`replay` /
-        :meth:`replay_spectrum` so sibling runs in the same sweep class
-        answer from cache.
+        memo as :meth:`replay` / :meth:`replay_spectrum` so sibling runs in
+        the same sweep class answer from cache.
 
         Args:
             size_tables: Per-row size lookup tables (indexed by row id).
             capacities: Cache capacities in cachelines; duplicates allowed.
+            pinned: Row ids held in the dedicated pinned partition, if any.
 
         Returns:
             One list of :class:`RowCacheStats` per table, each with one
@@ -451,6 +548,7 @@ class ReplayEngine:
         caps = [int(capacity) for capacity in capacities]
         if any(capacity <= 0 for capacity in caps):
             raise ConfigurationError("cache capacity must be positive")
+        pinned, pinned_token = self._pinned_key(pinned)
         tables = [
             np.ascontiguousarray(table, dtype=np.int64) for table in size_tables
         ]
@@ -468,20 +566,21 @@ class ReplayEngine:
             results: Dict[int, RowCacheStats] = {}
             resolved[token] = results
             for capacity in unique_caps:
-                cached = self._memo.get((token, capacity))
+                memo_key = (token, pinned_token, capacity)
+                cached = self._memo.get(memo_key)
                 if cached is not None:
-                    self._memo.move_to_end((token, capacity))
+                    self._memo.move_to_end(memo_key)
                     self.memo_hits += 1
                     results[capacity] = cached
             if len(results) == len(unique_caps):
                 continue
             with span("replay_evaluate"):
                 computed = self._evaluate_spectrum(
-                    table, sorted(set(unique_caps) - set(results))
+                    table, sorted(set(unique_caps) - set(results)), pinned
                 )
             for capacity, stats in computed.items():
                 self.memo_misses += 1
-                self._memo_store((token, capacity), stats)
+                self._memo_store((token, pinned_token, capacity), stats)
                 results[capacity] = stats
         return [
             [replace(resolved[token][capacity]) for capacity in caps]
@@ -489,50 +588,36 @@ class ReplayEngine:
         ]
 
     def _evaluate_spectrum(
-        self, table: np.ndarray, caps: List[int]
+        self, table: np.ndarray, caps: List[int], pinned: Optional[np.ndarray]
     ) -> Dict[int, RowCacheStats]:
         """Evaluate distinct capacities grouped by shared weight vector."""
-        n = self.trace.size
-        pinned_lines = int(table[self.pinned_rows].sum())
-        out: Dict[int, RowCacheStats] = {}
-        if n == 0:
-            for capacity in caps:
-                out[capacity] = self._merge_pinned(0, 0, 0, 0, pinned_lines)
-            return out
+        if self.trace.size == 0:
+            return {capacity: RowCacheStats() for capacity in caps}
 
-        sizes = table[self.trace]  # true per-access sizes
+        access = self._access_sizes(table, pinned)
+        sizes = access.sizes
         unique_sizes = np.unique(sizes)
         caps_arr = np.asarray(caps, dtype=np.int64)
         # Same group <=> no access size strictly between the capacities
         # <=> identical ``sizes <= cap`` masks, hence identical weights.
         group_of = np.searchsorted(unique_sizes, caps_arr, side="right")
+        out: Dict[int, RowCacheStats] = {}
         for group in np.unique(group_of):
             group_caps = caps_arr[group_of == group]
             weights = np.where(sizes <= int(group_caps[0]), sizes, 0)
             footprint = self._footprint(sizes, weights)
             for capacity in group_caps.tolist():
-                out[capacity] = self._hit_stats(
-                    sizes, footprint, capacity, pinned_lines
-                )
+                out[capacity] = self._hit_stats(access, footprint, capacity)
         return out
 
-    def replay(self, sizes: np.ndarray, capacity_lines: int) -> RowCacheStats:
-        """Replay the trace once against one per-row size table."""
-        return self.replay_many([np.asarray(sizes)], capacity_lines)[0]
-
-    def _merge_pinned(
-        self, accesses: int, hits: int, hit_lines: int, miss_lines: int, pinned_lines: int
+    def replay(
+        self,
+        sizes: np.ndarray,
+        capacity_lines: int,
+        pinned: Optional[np.ndarray] = None,
     ) -> RowCacheStats:
-        accesses += self.pinned_rows.size
-        hits += self.pinned_rows.size
-        hit_lines += pinned_lines
-        return RowCacheStats(
-            accesses=accesses,
-            hits=hits,
-            misses=accesses - hits,
-            miss_lines=miss_lines,
-            hit_lines=hit_lines,
-        )
+        """Replay the trace once against one per-row size table."""
+        return self.replay_many([np.asarray(sizes)], capacity_lines, pinned)[0]
 
 
 def replay_trace(

@@ -264,3 +264,32 @@ def test_mutated_schedule_read_turns_f1_and_f2_red(tmp_path):
     messages = " ".join(finding.message for finding in report.findings)
     assert "CacheConfig.replacement" in messages
     assert "frequency_ghz" in messages
+
+
+#: Mutable module global read inside the replay engine's build and its
+#: pinned-partition evaluation (both feed the engine's result memo).
+REPLAY_MUTATIONS = (
+    ("        num_levels = (n - 1).bit_length()\n",
+     "        num_levels = (n - 1).bit_length() + _planted[0]\n"),
+    ("        sizes = table[self.trace]\n",
+     "        sizes = table[self.trace] + _planted[0]\n"),
+)
+
+
+def test_mutated_replay_engine_read_turns_f3_red(tmp_path):
+    source = (SRC / "repro/memory/replay.py").read_text()
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    (clean / "replay.py").write_text(source)
+    assert run_lint([clean], get_rules(["F3"])).ok
+
+    mutated = tmp_path / "mutated"
+    mutated.mkdir()
+    source = source.replace("_INDEX_DTYPE = np.int32\n", "_INDEX_DTYPE = np.int32\n_planted = [0]\n", 1)
+    for before, after in REPLAY_MUTATIONS:
+        assert source.count(before) == 1, before
+        source = source.replace(before, after)
+    (mutated / "replay.py").write_text(source)
+    report = run_lint([mutated], get_rules(["F3"]))
+    flagged = {finding.message.split()[0] for finding in report.findings}
+    assert flagged == {"_build_structure", "_access_sizes"}

@@ -24,6 +24,26 @@ def reference_stats(trace, sizes, capacity):
     return cache.stats
 
 
+def reference_pinned_stats(trace, sizes, capacity, pinned):
+    """The simulator's historical inline loop: pinned rows always hit."""
+    cache = RowCache(capacity)
+    pinned_set = set(pinned.tolist())
+    accesses = hits = hit_lines = miss_lines = 0
+    size_list = sizes.tolist()
+    for row in trace.tolist():
+        size = size_list[row]
+        accesses += 1
+        if row in pinned_set:
+            hits += 1
+            hit_lines += size
+        elif cache.access(row, size):
+            hits += 1
+            hit_lines += size
+        else:
+            miss_lines += size
+    return (accesses, hits, accesses - hits, hit_lines, miss_lines)
+
+
 class TestReplayEquivalence:
     def test_randomized_traces_match_rowcache(self):
         rng = np.random.default_rng(0)
@@ -101,32 +121,56 @@ class TestReplayManyAndMemo:
         sizes = rng.integers(1, 8, size=40).astype(np.int64)
         pinned = np.asarray([1, 5, 17], dtype=np.int64)
         capacity = 30
-        engine = ReplayEngine(trace, pinned=pinned)
-        got = engine.replay(sizes, capacity)
+        engine = ReplayEngine(trace)
+        got = engine.replay(sizes, capacity, pinned=pinned)
+        assert stats_tuple(got) == reference_pinned_stats(trace, sizes, capacity, pinned)
 
-        # Reference: the simulator's historical inline loop.
-        cache = RowCache(capacity)
-        pinned_set = set(pinned.tolist())
-        accesses = hits = hit_lines = miss_lines = 0
-        size_list = sizes.tolist()
-        for row in trace.tolist():
-            size = size_list[row]
-            accesses += 1
-            if row in pinned_set:
-                hits += 1
-                hit_lines += size
-            elif cache.access(row, size):
-                hits += 1
-                hit_lines += size
-            else:
-                miss_lines += size
-        assert stats_tuple(got) == (
-            accesses,
-            hits,
-            accesses - hits,
-            hit_lines,
-            miss_lines,
-        )
+
+class TestDeepTreeEquivalence:
+    """Traces of 5k-33k accesses: 13- to 16-level trees, as at full scale.
+
+    Skewed reuse over a few thousand rows (hot rows plus a long cold tail,
+    like tiled aggregation traces), with and without a pinned partition,
+    against the ``RowCache`` reference through every batched entry point.
+    """
+
+    CASES = [(5_000, 0, False), (12_000, 1, True), (20_000, 2, False), (33_000, 3, True)]
+
+    @staticmethod
+    def _workload(length, seed, pinned):
+        rng = np.random.default_rng(1000 + seed)
+        num_rows = 2048
+        trace = (rng.zipf(1.25, size=length) % num_rows).astype(np.int64)
+        tables = [rng.integers(1, 12, size=num_rows).astype(np.int64) for _ in range(2)]
+        # One row larger than the smallest capacity streams through there.
+        tables[1][int(trace[length // 2])] = 300
+        pins = np.unique(trace[:40]) if pinned else np.zeros(0, dtype=np.int64)
+        return trace, tables, pins
+
+    @staticmethod
+    def _reference(trace, table, capacity, pins):
+        if pins.size:
+            return reference_pinned_stats(trace, table, capacity, pins)
+        return stats_tuple(reference_stats(trace, table, capacity))
+
+    @pytest.mark.parametrize("length,seed,pinned", CASES)
+    def test_replay_many_matches_rowcache(self, length, seed, pinned):
+        trace, tables, pins = self._workload(length, seed, pinned)
+        capacity = 250
+        got = ReplayEngine(trace).replay_many(tables, capacity, pinned=pins)
+        for table, stats in zip(tables, got):
+            assert stats_tuple(stats) == self._reference(trace, table, capacity, pins)
+
+    @pytest.mark.parametrize("length,seed,pinned", CASES)
+    def test_replay_spectrum_matches_rowcache(self, length, seed, pinned):
+        trace, tables, pins = self._workload(length, seed, pinned)
+        capacities = [120, 700, 4000]
+        engine = ReplayEngine(trace)
+        spectrum = engine.replay_spectrum(tables[1], capacities, pinned=pins)
+        for capacity, stats in zip(capacities, spectrum):
+            assert stats_tuple(stats) == self._reference(trace, tables[1], capacity, pins)
+        batch = engine.replay_spectrum_many(tables, capacities[:1], pinned=pins)
+        assert stats_tuple(batch[0][0]) == self._reference(trace, tables[0], 120, pins)
 
 
 class TestReplayAccesses:

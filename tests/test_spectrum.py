@@ -71,9 +71,9 @@ class TestReplaySpectrum:
         sizes = rng.integers(1, 8, size=40).astype(np.int64)
         pinned = np.asarray([2, 9, 31], dtype=np.int64)
         caps = [3, 17, 64, 5000]
-        spectrum = ReplayEngine(trace, pinned=pinned).replay_spectrum(sizes, caps)
+        spectrum = ReplayEngine(trace).replay_spectrum(sizes, caps, pinned=pinned)
         for cap, got in zip(caps, spectrum):
-            want = ReplayEngine(trace, pinned=pinned).replay(sizes, cap)
+            want = ReplayEngine(trace).replay(sizes, cap, pinned=pinned)
             assert stats_tuple(got) == stats_tuple(want)
 
     def test_duplicate_capacities_and_order_preserved(self):
@@ -115,10 +115,10 @@ class TestReplaySpectrum:
         pinned = np.asarray([4, 11], dtype=np.int64)
         tables = [rng.integers(1, 7, size=30).astype(np.int64) for _ in range(3)]
         caps = [20, 90]
-        batch = ReplayEngine(trace, pinned=pinned).replay_spectrum_many(tables, caps)
+        batch = ReplayEngine(trace).replay_spectrum_many(tables, caps, pinned=pinned)
         for table, per_table in zip(tables, batch):
             for cap, got in zip(caps, per_table):
-                want = ReplayEngine(trace, pinned=pinned).replay(table, cap)
+                want = ReplayEngine(trace).replay(table, cap, pinned=pinned)
                 assert stats_tuple(got) == stats_tuple(want)
 
     def test_spectrum_many_seeds_and_reads_the_memo(self):
