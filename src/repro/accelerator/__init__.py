@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from repro.accelerator.engines import SIMDAggregationEngine, PrefixSumUnit
 from repro.accelerator.systolic import SystolicArray
-from repro.accelerator.aggregator import SparseAggregator
-from repro.accelerator.compressor import PostCombinationCompressor
 from repro.accelerator.design import (
     BUILTIN_DESIGNS,
     DESIGN_KNOBS,
@@ -37,7 +35,6 @@ from repro.accelerator.registry import (
     temporary_accelerator,
     unregister_accelerator,
 )
-from repro.accelerator.energy_model import AcceleratorEnergyModel
 
 __all__ = [
     "BUILTIN_DESIGNS",
@@ -50,8 +47,6 @@ __all__ = [
     "SIMDAggregationEngine",
     "PrefixSumUnit",
     "SystolicArray",
-    "SparseAggregator",
-    "PostCombinationCompressor",
     "LayerWorkload",
     "PhaseResult",
     "build_workloads",
@@ -68,5 +63,4 @@ __all__ = [
     "register_accelerator",
     "temporary_accelerator",
     "unregister_accelerator",
-    "AcceleratorEnergyModel",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -39,9 +39,7 @@ from repro.accelerator.systolic import SystolicArray
 from repro.accelerator.tiling import (
     TilingPlan,
     aggregation_access_trace,
-    aggregation_access_trace_reference,
     locality_reordering,
-    locality_reordering_reference,
     plan_tiling,
 )
 from repro.core.config import CACHELINE_BYTES, ELEMENT_BYTES, SystemConfig
@@ -54,7 +52,7 @@ from repro.graphs.graph import CSRGraph
 from repro.memory.dram import DRAMModel, TrafficPattern
 from repro.memory.energy import EnergyTable
 from repro.memory.replay import ReplayEngine, TraceCache
-from repro.memory.rowcache import RowCache, RowCacheStats
+from repro.memory.rowcache import RowCacheStats
 from repro.resilience.faults import fault_point
 from repro.resilience.policy import check_deadline
 from repro.telemetry.spans import span
@@ -82,45 +80,6 @@ def _trace_cache_get(
         logger.warning("trace cache unavailable (%s); building uncached", exc)
         return builder()
     return cache.get(key, builder)
-
-
-# --------------------------------------------------------------------------- #
-# Replay backend selection
-# --------------------------------------------------------------------------- #
-#: Supported trace-replay backends: the vectorized engine
-#: (:class:`repro.memory.replay.ReplayEngine`, the default) and the legacy
-#: per-access :class:`repro.memory.rowcache.RowCache` loop.  The two are
-#: bit-identical (pinned by the golden equivalence tests); the legacy backend
-#: exists as the reference implementation and as the baseline the
-#: ``repro bench`` harness measures speedups against.
-REPLAY_BACKENDS = ("vectorized", "legacy")
-
-#: The legacy backend restores the dominant pre-vectorization paths, not
-#: just the cache replay: loop-based trace generation and BFS reordering,
-#: per-row ``row_read_lines`` materialisation, and no cross-run trace
-#: caching.  (Two minor helpers — ``CSRGraph.reorder`` and BEICSR's
-#: ``_split_row_nnz`` — stay vectorized under either backend, so the
-#: ``repro bench`` baseline is slightly *faster* than the true pre-PR
-#: engine; recorded speedups are conservative.)  The golden tests use the
-#: same switch as a whole-pipeline equivalence check.
-_replay_backend = "vectorized"
-
-
-def set_replay_backend(name: str) -> str:
-    """Select the aggregation-trace replay backend; returns the previous one."""
-    global _replay_backend
-    if name not in REPLAY_BACKENDS:
-        raise SimulationError(
-            f"unknown replay backend {name!r}; choose from {REPLAY_BACKENDS}"
-        )
-    previous = _replay_backend
-    _replay_backend = name
-    return previous
-
-
-def get_replay_backend() -> str:
-    """Name of the active trace-replay backend."""
-    return _replay_backend  # repro: identity-exempt[global:_replay_backend] backend selection is identity-neutral: both backends are pinned bit-identical by the golden digests
 
 
 # --------------------------------------------------------------------------- #
@@ -254,9 +213,8 @@ class RunContext:
     #: ``schedule_capacity_bytes`` (a capacity-sweep override resizing the
     #: physical cache under the design's nominal schedule).
     schedule_cache_lines: Optional[int] = None
-    #: Lazily-built replay engine over the full trace (built on first
-    #: vectorized replay, so the legacy backend never pays for a structure it
-    #: will not use).  Pinned designs pass their pinned set per replay call.
+    #: Lazily-built replay engine over the full trace (column-product designs
+    #: never build one).  Pinned designs pass their pinned set per replay call.
     replay_engine: Optional[ReplayEngine] = None
 
     def engine(self) -> ReplayEngine:
@@ -278,13 +236,7 @@ def _reordered_for_locality(graph: CSRGraph) -> CSRGraph:
     # never degrades locality.
     from repro.graphs.stats import clustering_score
 
-    reorder = (
-        locality_reordering
-        if _replay_backend == "vectorized"  # repro: identity-exempt[global:_replay_backend] backend variants emit identical permutations (golden-pinned)
-        else locality_reordering_reference
-    )
-    permutation = reorder(graph)
-    reordered = graph.reorder(permutation)
+    reordered = graph.reorder(locality_reordering(graph))
     if clustering_score(reordered) >= clustering_score(graph):
         return reordered
     return graph
@@ -325,10 +277,6 @@ def build_context(
     capacity_spectrum: Sequence[int] = (),
 ) -> RunContext:
     """Stage 1: resolve the graph, the scaled cache, and the engine models."""
-    # The legacy backend ignores the trace cache: the pre-vectorization
-    # engine rebuilt every trace per run, and the benchmark measures that.
-    if _replay_backend != "vectorized":  # repro: identity-exempt[global:_replay_backend] only disables trace caching for the legacy benchmark; results are backend-invariant
-        trace_cache = None
     graph = dataset.graph
     if design.reorders_graph:
         if trace_cache is not None:
@@ -491,15 +439,11 @@ def schedule(context: RunContext) -> RunContext:
             design.engine_partition,
             config.sac_strip_height,
         )
-        build_trace = (
-            aggregation_access_trace
-            if _replay_backend == "vectorized"  # repro: identity-exempt[global:_replay_backend] backend variants emit identical traces (golden-pinned)
-            else aggregation_access_trace_reference
-        )
+
         def build() -> np.ndarray:
             # Timed inside the builder so trace-cache hits cost no span.
             with span("trace_generation"):
-                return build_trace(
+                return aggregation_access_trace(
                     graph,
                     tiling,
                     num_engines=config.engines.num_aggregation_engines,
@@ -584,12 +528,11 @@ def _layer_row_tables(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-row non-zero counts for the layer's input features, and the
     resulting per-row transfer sizes (in lines) under ``fmt``."""
-    num_vertices = context.graph.num_vertices
     provider = context.sparsity or _SYNTHETIC_PROVIDER
     row_nnz, slice_nnz = provider.layer_tables(
         dataset=context.dataset,
         layer_index=workload.layer_index,
-        num_rows=num_vertices,
+        num_rows=context.graph.num_vertices,
         width=workload.width_in,
         sparsity=workload.input_sparsity,
         slice_size=getattr(fmt, "slice_size", None),
@@ -599,15 +542,7 @@ def _layer_row_tables(
         graph=context.graph,
     )
     layout = fmt.build_layout(row_nnz, workload.width_in, slice_nnz=slice_nnz)
-    if get_replay_backend() == "vectorized":
-        row_lines = layout.row_read_line_counts()
-    else:
-        row_lines = np.fromiter(
-            (layout.row_read_lines(row).size for row in range(num_vertices)),
-            dtype=np.int64,
-            count=num_vertices,
-        )
-    return row_nnz, row_lines
+    return row_nnz, layout.row_read_line_counts()
 
 
 def _pass_size_tables(
@@ -639,70 +574,40 @@ def _layer_replay(
     pass_sizes: List[np.ndarray],
     batched: Optional[List[RowCacheStats]],
 ) -> AggregateReplay:
-    """Replay one intermediate layer's feature passes (all backends)."""
-    aggregate = AggregateReplay()
-
-    # The pinned rows live in a dedicated partition: their accesses always
-    # hit and the capacity they use is removed from the shared pool.
-    shared_capacity = context.cache_lines
-    if context.pinned_vertices.size:
-        pinned_lines = int(pass_sizes[0][context.pinned_vertices].sum())
-        shared_capacity = max(1, context.cache_lines - pinned_lines)
-
-    if get_replay_backend() == "vectorized":
-        stats_list = batched
-        if stats_list is None:
-            # Pinned designs replay per layer (their shared capacity depends
-            # on the pinned rows' sizes in this very table).  The pinned set
-            # is planned at the schedule capacity, so within a capacity sweep
-            # the subtraction maps the spectrum point-for-point and the
-            # sibling runs still share one evaluation per weight group.
-            spectrum = _spectrum_lines(context)
-            if spectrum and context.trace.size:
-                offset = shared_capacity - context.cache_lines
-                shared_spectrum = [max(1, lines + offset) for lines in spectrum]
-                stats_list = [
-                    per_table[0]
-                    for per_table in context.engine().replay_spectrum_many(
-                        pass_sizes, shared_spectrum, context.pinned_vertices
-                    )
-                ]
-            else:
-                stats_list = context.engine().replay_many(
-                    pass_sizes, shared_capacity, context.pinned_vertices
+    """Replay one intermediate layer's feature passes."""
+    stats_list = batched
+    if stats_list is None:
+        # Pinned designs replay per layer: the pinned rows live in a
+        # dedicated partition (their accesses always hit), and the capacity
+        # they use — which depends on their sizes in this very table — is
+        # removed from the shared pool.  The pinned set is planned at the
+        # schedule capacity, so within a capacity sweep the subtraction maps
+        # the spectrum point-for-point and the sibling runs still share one
+        # evaluation per weight group.
+        shared_capacity = context.cache_lines
+        if context.pinned_vertices.size:
+            pinned_lines = int(pass_sizes[0][context.pinned_vertices].sum())
+            shared_capacity = max(1, context.cache_lines - pinned_lines)
+        spectrum = _spectrum_lines(context)
+        if spectrum and context.trace.size:
+            offset = shared_capacity - context.cache_lines
+            shared_spectrum = [max(1, lines + offset) for lines in spectrum]
+            stats_list = [
+                per_table[0]
+                for per_table in context.engine().replay_spectrum_many(
+                    pass_sizes, shared_spectrum, context.pinned_vertices
                 )
-        for stats in stats_list:
-            aggregate.accesses += stats.accesses
-            aggregate.hits += stats.hits
-            aggregate.hit_lines += stats.hit_lines
-            aggregate.miss_lines += stats.miss_lines
-    else:
-        cache = RowCache(shared_capacity)
-        pinned_set = set(context.pinned_vertices.tolist())
-        trace = context.trace
-        for pass_index in range(len(pass_sizes)):
-            per_pass_lines = pass_sizes[pass_index]
-            cache.flush()
-            if pinned_set:
-                sizes = per_pass_lines.tolist()
-                for row in trace.tolist():
-                    size = sizes[row]
-                    aggregate.accesses += 1
-                    if row in pinned_set:
-                        aggregate.hits += 1
-                        aggregate.hit_lines += size
-                    elif cache.access(row, size):
-                        aggregate.hits += 1
-                        aggregate.hit_lines += size
-                    else:
-                        aggregate.miss_lines += size
-            else:
-                cache.access_trace(trace, per_pass_lines)
-                aggregate.accesses += cache.stats.accesses
-                aggregate.hits += cache.stats.hits
-                aggregate.hit_lines += cache.stats.hit_lines
-                aggregate.miss_lines += cache.stats.miss_lines
-                cache.reset_stats()
+            ]
+        else:
+            stats_list = context.engine().replay_many(
+                pass_sizes, shared_capacity, context.pinned_vertices
+            )
+    aggregate = AggregateReplay()
+    for stats in stats_list:
+        aggregate.accesses += stats.accesses
+        aggregate.hits += stats.hits
+        aggregate.hit_lines += stats.hit_lines
+        aggregate.miss_lines += stats.miss_lines
     return aggregate
 
 
@@ -711,25 +616,22 @@ def _first_layer_replay(
     first_workload: LayerWorkload,
     batched: Optional[RowCacheStats],
 ) -> RowCacheStats:
-    """Replay the first layer's dense intermediate (all backends).
+    """Replay the first layer's dense intermediate.
 
     The dense intermediate is re-read per edge with the same hit rate a
     dense-format run of this schedule achieves; approximate it with a single
     cache replay using dense rows.  The full (unpinned) trace is replayed at
-    full capacity here, matching the reference path.
+    full capacity here.
     """
     if batched is not None:
         return batched
     num_vertices = context.graph.num_vertices
     dense_row_lines = bytes_to_lines(first_workload.width_out * ELEMENT_BYTES)
     sizes = np.full(num_vertices, dense_row_lines, dtype=np.int64)
-    if get_replay_backend() == "vectorized":
-        spectrum = _spectrum_lines(context)
-        if spectrum and context.trace.size:
-            return context.engine().replay_spectrum(sizes, spectrum)[0]
-        return context.engine().replay(sizes, context.cache_lines)
-    cache = RowCache(context.cache_lines)
-    return cache.access_trace(context.trace, sizes)
+    spectrum = _spectrum_lines(context)
+    if spectrum and context.trace.size:
+        return context.engine().replay_spectrum(sizes, spectrum)[0]
+    return context.engine().replay(sizes, context.cache_lines)
 
 
 def _spectrum_lines(context: RunContext) -> List[int]:
@@ -763,9 +665,9 @@ def replay(
     first layer's dense replay all share the trace structure and — without a
     pinned partition — the capacity, so one batched ``replay_many`` call
     amortises the per-evaluation overhead across the whole run.  Designs that
-    need per-layer capacities (pinned partitions) and the legacy backend
-    replay each layer individually instead; column-product designs replay
-    nothing (their feature reads stream once per pass).
+    need per-layer capacities (pinned partitions) replay each layer
+    individually instead; column-product designs replay nothing (their
+    feature reads stream once per pass).
     """
     fmt = context.feature_format
     first, *intermediate = workloads
@@ -820,11 +722,7 @@ def replay(
     # the size tables amortises the per-evaluation array overhead.
     batched_first: Optional[RowCacheStats] = None
     batched_layers: List[Optional[List[RowCacheStats]]] = [None] * len(prepared)
-    if (
-        get_replay_backend() == "vectorized"
-        and context.trace.size != 0
-        and not context.pinned_vertices.size
-    ):
+    if context.trace.size != 0 and not context.pinned_vertices.size:
         tables: List[np.ndarray] = []
         for layer in prepared:
             tables.extend(layer.pass_sizes)
@@ -855,8 +753,8 @@ def replay(
     for layer, batched in zip(prepared, batched_layers):
         layer.replay = _layer_replay(context, layer.pass_sizes, batched)
     # An edgeless graph yields an empty trace: the intermediate layers above
-    # replay it (to zero counters, as the reference path did), but the first
-    # layer's dense re-read falls back to the analytic streaming estimate.
+    # replay it (to zero counters), but the first layer's dense re-read falls
+    # back to the analytic streaming estimate.
     first_stats = (
         None
         if context.trace.size == 0
@@ -1327,7 +1225,6 @@ __all__ = [
     "GCN_VARIANTS",
     "LayerWorkload",
     "PhaseResult",
-    "REPLAY_BACKENDS",
     "ReplayOutcome",
     "ReplayedLayer",
     "RunContext",
@@ -1338,11 +1235,9 @@ __all__ = [
     "complete_run",
     "effective_cache_lines",
     "energy",
-    "get_replay_backend",
     "replay",
     "resolve_sparsity_dataset",
     "schedule",
-    "set_replay_backend",
     "simulate_design",
     "timing",
 ]

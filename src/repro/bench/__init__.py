@@ -1,8 +1,8 @@
 """Performance benchmarks for the simulation engine (``repro bench``).
 
-The :mod:`repro.bench.harness` module times the built-in scenario packs
-under the vectorized replay engine and the legacy (pre-vectorization)
-execution path, and emits the ``BENCH_*.json`` documents that record the
+The :mod:`repro.bench.harness` module times the built-in scenario packs in
+fresh sessions (and grouped spectrum vs per-knob dispatch on the replay-knob
+packs), and emits the ``BENCH_*.json`` documents that record the
 repository's performance trajectory.
 """
 

@@ -15,9 +15,9 @@ Subcommands:
   :class:`repro.core.session.Session`, reusing datasets across scenarios);
 * ``export`` — merge a directory of per-scenario JSON documents (sweep
   output or the cache store) into one CSV/JSON summary table;
-* ``bench`` — time the built-in scenario packs under the vectorized
-  trace-replay engine and the legacy (pre-vectorization) path, and write a
-  ``BENCH_*.json`` performance-trajectory document;
+* ``bench`` — time the built-in scenario packs in fresh sessions (and
+  grouped spectrum vs per-knob dispatch on the replay-knob packs), and write
+  a ``BENCH_*.json`` performance-trajectory document;
 * ``stats`` — pretty-print a ``metrics.json`` telemetry document;
 * ``lint`` — run the AST invariant battery (``--changed`` lints only
   git-modified files for pre-commit use);
@@ -51,7 +51,7 @@ from repro.accelerator.registry import (
 )
 from repro.accelerator.simulator import GCN_VARIANTS
 from repro.core.session import default_session
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.formats.registry import FORMATS, available_formats
 from repro.gcn.providers import SPARSITY_MODES
 from repro.experiments.runner import RunOutcome, SweepRunner, run_scenario
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=None,
-        help="timed repeats per backend, best-of (default: 3)",
+        help="timed repeats per case, best-of (default: 3)",
     )
     bench_parser.add_argument(
         "--max-vertices",
@@ -402,14 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale cap applied to the packs named on the command line",
     )
     bench_parser.add_argument(
-        "--skip-legacy",
-        action="store_true",
-        help="time only the vectorized engine (no baseline, no speedups)",
-    )
-    bench_parser.add_argument(
         "--out",
-        default="BENCH_trace_engine.json",
-        help="output JSON path (default: BENCH_trace_engine.json)",
+        default="BENCH.json",
+        help="output JSON path (default: BENCH.json)",
     )
     bench_parser.set_defaults(func=_cmd_bench)
 
@@ -649,6 +644,8 @@ def _resolve_packs(
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.retries < 0:
+        raise ConfigurationError(f"--retries must be at least 0, got {args.retries}")
     specs = _resolve_packs(args.pack, args.max_vertices, quick=args.quick)
 
     if args.dry_run:
@@ -780,11 +777,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     cases = None
     if args.packs:
         cases = [(name, args.max_vertices) for name in args.packs]
+    elif args.max_vertices is not None:
+        raise ConfigurationError(
+            "--max-vertices applies to the packs named on the command line; name at least one"
+        )
     document = run_benchmarks(
         cases=cases,
         repeats=args.repeats if args.repeats is not None else DEFAULT_REPEATS,
         quick=args.quick,
-        include_legacy=not args.skip_legacy,
         out=args.out,
     )
     for entry in document["results"]:
@@ -804,20 +804,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
             OUT.data(line)
             continue
-        line = (
+        OUT.data(
             f"{pack_label:<18} scale={scale:<8} runs={entry['runs']:<4} "
             f"vectorized={entry['vectorized_s']:.3f}s"
         )
-        if entry["legacy_s"] is not None:
-            line += f"  legacy={entry['legacy_s']:.3f}s  speedup={entry['speedup']:.2f}x"
-        OUT.data(line)
     summary = document["summary"]
-    if summary["overall_speedup"] is not None:
-        OUT.data(
-            f"overall: {summary['total_legacy_s']:.3f}s -> "
-            f"{summary['total_vectorized_s']:.3f}s "
-            f"({summary['overall_speedup']:.2f}x)"
-        )
+    OUT.data(f"total: {summary['total_vectorized_s']:.3f}s")
     if summary.get("min_spectrum_speedup") is not None:
         OUT.data(
             f"spectrum dispatch: min {summary['min_spectrum_speedup']:.2f}x "

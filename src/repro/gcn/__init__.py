@@ -18,13 +18,9 @@ from repro.gcn.providers import (
 )
 from repro.gcn.sparsity import (
     measure_sparsity,
-    per_row_nonzeros,
     per_slice_nonzeros,
-    per_slice_nonzeros_reference,
     layer_sparsity_profile,
     sparsity_vs_depth,
-    synthetic_feature_matrix,
-    sparsify_to_target,
 )
 from repro.gcn.training import TrainingResult, train_node_classifier
 
@@ -41,13 +37,9 @@ __all__ = [
     "DeepGCN",
     "LayerTrace",
     "measure_sparsity",
-    "per_row_nonzeros",
     "per_slice_nonzeros",
-    "per_slice_nonzeros_reference",
     "layer_sparsity_profile",
     "sparsity_vs_depth",
-    "synthetic_feature_matrix",
-    "sparsify_to_target",
     "SPARSITY_MODES",
     "MeasuredSparsity",
     "MeasuredSparsityCache",

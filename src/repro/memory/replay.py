@@ -1,11 +1,10 @@
 """Vectorized trace replay through the row-granularity LRU cache model.
 
-:class:`~repro.memory.rowcache.RowCache` replays a feature-access trace one
-access at a time through an ``OrderedDict`` — exact, but pure Python, and the
-single hottest loop of every simulation (one replay per feature pass per
-layer per run).  This module computes the *same statistics* for a whole trace
-with numpy, using a classical property of fully-associative evict-until-fit
-LRU caches:
+Replaying a feature-access trace one access at a time through an
+``OrderedDict`` LRU is exact but pure Python, and would be the single hottest
+loop of every simulation (one replay per feature pass per layer per run).
+This module computes the *same statistics* for a whole trace with numpy,
+using a classical property of fully-associative evict-until-fit LRU caches:
 
     An access to row ``r`` hits iff ``r`` was accessed before and
     ``size[r] + U <= capacity``, where ``U`` is the total size of the
@@ -19,8 +18,8 @@ every row accessed since ``r``'s previous access is either still resident
 above ``r`` or was never installed — if it had been evicted, ``r`` (older)
 would have been evicted first.  With one fixed size per row — which is how
 every replay in this repository works, the per-pass size table — the
-condition is exact, and matches ``RowCache.access_trace`` bit for bit (the
-golden equivalence tests pin this).
+condition is exact, and matches the per-access ``RowCache`` oracle in
+``tests/oracles.py`` bit for bit (the golden equivalence tests pin this).
 
 The distinct-footprint sums are reuse-interval computations.  We evaluate
 them with an offline mergesort tree: for every access ``i`` with previous
@@ -59,7 +58,7 @@ from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.memory.rowcache import RowCache, RowCacheStats
+from repro.memory.rowcache import RowCacheStats
 from repro.telemetry.spans import span
 
 #: Index dtype of the precomputed tree structure.  Traces are bounded far
@@ -302,15 +301,15 @@ class ReplayEngine:
 
         Args:
             size_tables: Per-row size lookup tables (indexed by row id), one
-                per pass; each pass starts from an empty cache, matching the
-                per-pass ``flush()`` of the reference path.
+                per pass; each pass starts from an empty cache.
             capacity_lines: Shared-cache capacity in cachelines.
             pinned: Row ids held in the dedicated pinned partition, if any.
 
         Returns:
             One :class:`RowCacheStats` per table, bit-identical to replaying
-            the same trace through :meth:`RowCache.access_trace` (with the
-            pinned accesses counted as hits outside the shared cache).
+            the same trace through the ``RowCache`` oracle of
+            ``tests/oracles.py`` (with the pinned accesses counted as hits
+            outside the shared cache).
         """
         if capacity_lines <= 0:
             raise ConfigurationError("cache capacity must be positive")
@@ -623,43 +622,8 @@ class ReplayEngine:
 def replay_trace(
     trace: np.ndarray, sizes: np.ndarray, capacity_lines: int
 ) -> RowCacheStats:
-    """One-shot vectorized equivalent of ``RowCache(c).access_trace(trace, sizes)``."""
+    """Replay ``trace`` once from an empty cache of ``capacity_lines`` lines."""
     return ReplayEngine(trace).replay(sizes, capacity_lines)
-
-
-def replay_accesses(
-    rows: np.ndarray, sizes_per_access: np.ndarray, capacity_lines: int
-) -> RowCacheStats:
-    """Replay a trace whose sizes are given *per access* rather than per row.
-
-    When every access of a row carries the same size (the only shape the
-    simulator produces), this dispatches to the vectorized engine.  Traces
-    that re-access a row with a different size exercise the resize-on-
-    reaccess semantics of :class:`RowCache` (miss for the delta only), which
-    have no closed-form stack characterization; those fall back to the
-    reference implementation so the answer stays exact.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    sizes_per_access = np.asarray(sizes_per_access, dtype=np.int64)
-    if rows.shape != sizes_per_access.shape:
-        raise ConfigurationError("rows and sizes_per_access must align")
-    if rows.size == 0:
-        return RowCache(capacity_lines).stats
-
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    sorted_sizes = sizes_per_access[order]
-    same = sorted_rows[1:] == sorted_rows[:-1]
-    constant = bool(np.all(sorted_sizes[1:][same] == sorted_sizes[:-1][same]))
-    if constant:
-        table = np.zeros(int(rows.max()) + 1, dtype=np.int64)
-        table[rows] = sizes_per_access
-        return ReplayEngine(rows).replay(table, capacity_lines)
-
-    cache = RowCache(capacity_lines)
-    for row, size in zip(rows.tolist(), sizes_per_access.tolist()):
-        cache.access(row, size)
-    return cache.stats
 
 
 def _entry_bytes(value: object) -> int:
@@ -770,6 +734,5 @@ __all__ = [
     "ReplayEngine",
     "TraceCache",
     "array_token",
-    "replay_accesses",
     "replay_trace",
 ]

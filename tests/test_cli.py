@@ -78,3 +78,13 @@ def test_sweep_run_cache_and_export(tmp_path, capsys):
 def test_unknown_pack_is_an_error(capsys):
     assert main(["sweep", "no-such-pack", "--dry-run"]) == 2
     assert "unknown scenario pack" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("retries", ["-1", "-3"])
+def test_sweep_rejects_negative_retries(tmp_path, capsys, retries):
+    code = main(
+        ["sweep", "hbm-generation", "--quick", "--retries", retries, "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert "--retries" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -1,10 +1,12 @@
-"""Golden equivalence: vectorized engine vs the legacy (pre-PR) path.
+"""Golden equivalence: the simulator vs its slow reference oracles.
 
-The acceptance bar of the trace-engine PR: for every built-in dataset x
-accelerator x variant, the vectorized replay must produce bit-identical
-``RowCacheStats`` and byte-identical ``SimulationResult`` documents versus
-the legacy ``RowCache.access`` path (which also uses the loop-based trace
-builders, making this a whole-pipeline equivalence check).
+For every built-in dataset x accelerator x variant, a plain ``Session`` must
+produce byte-identical ``SimulationResult`` documents to the same grid run
+with the pipeline's fast paths swapped for the loop oracles of
+``tests/oracles.py``: loop-based trace generation and BFS reordering, and a
+``RowCache``-backed stand-in for the replay engine.  That makes this a
+whole-pipeline equivalence check; the per-trace statistics are compared
+directly below.
 """
 
 import json
@@ -12,19 +14,20 @@ import json
 import numpy as np
 import pytest
 
-from repro.accelerator.registry import ACCELERATORS
-from repro.accelerator.simulator import (
-    GCN_VARIANTS,
-    build_workloads,
-    get_replay_backend,
-    set_replay_backend,
+from oracles import (
+    RowCache,
+    RowCacheEngine,
+    aggregation_access_trace_reference,
+    locality_reordering_reference,
 )
+from repro.accelerator import pipeline
+from repro.accelerator.registry import ACCELERATORS
+from repro.accelerator.simulator import GCN_VARIANTS, build_workloads
 from repro.core.config import SystemConfig
 from repro.core.runspec import RunSpec
 from repro.core.session import Session
 from repro.graphs.datasets import FIGURE_ORDER
 from repro.memory.replay import ReplayEngine
-from repro.memory.rowcache import RowCache
 
 #: Scale cap keeping the full grid fast while still exercising tiling,
 #: engine interleaving, pinned partitions, and every feature format.
@@ -33,15 +36,8 @@ GOLDEN_MAX_VERTICES = 96
 ALL_ACCELERATORS = tuple(sorted(ACCELERATORS.names()))
 
 
-@pytest.fixture(autouse=True)
-def restore_backend():
-    previous = get_replay_backend()
-    yield
-    set_replay_backend(previous)
-
-
 def run_grid(dataset_name, variant):
-    """One result document per accelerator for the active backend."""
+    """One result document per accelerator, from a fresh session."""
     session = Session()
     documents = {}
     for accelerator in ALL_ACCELERATORS:
@@ -59,13 +55,16 @@ def run_grid(dataset_name, variant):
 
 @pytest.mark.parametrize("variant", GCN_VARIANTS)
 @pytest.mark.parametrize("dataset_name", FIGURE_ORDER)
-def test_simulation_results_byte_identical(dataset_name, variant):
-    set_replay_backend("vectorized")
-    vectorized = run_grid(dataset_name, variant)
-    set_replay_backend("legacy")
-    legacy = run_grid(dataset_name, variant)
+def test_simulation_results_byte_identical(dataset_name, variant, monkeypatch):
+    simulator = run_grid(dataset_name, variant)
+    monkeypatch.setattr(
+        pipeline, "aggregation_access_trace", aggregation_access_trace_reference
+    )
+    monkeypatch.setattr(pipeline, "locality_reordering", locality_reordering_reference)
+    monkeypatch.setattr(pipeline, "ReplayEngine", RowCacheEngine)
+    oracle = run_grid(dataset_name, variant)
     for accelerator in ALL_ACCELERATORS:
-        assert vectorized[accelerator] == legacy[accelerator], (
+        assert simulator[accelerator] == oracle[accelerator], (
             dataset_name,
             accelerator,
             variant,
@@ -89,8 +88,7 @@ def test_rowcache_stats_bit_identical_on_real_traces(accelerator):
         sizes = rng.integers(1, 9, size=dataset.graph.num_vertices).astype(np.int64)
         capacity = int(rng.integers(8, context.cache_lines + 1))
         got = engine.replay(sizes, capacity)
-        cache = RowCache(capacity)
-        want = cache.access_trace(context.trace, sizes)
+        want = RowCache(capacity).access_trace(context.trace, sizes)
         assert (got.accesses, got.hits, got.hit_lines, got.miss_lines) == (
             want.accesses,
             want.hits,

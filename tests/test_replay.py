@@ -3,45 +3,14 @@
 import numpy as np
 import pytest
 
+from oracles import rowcache_replay as reference_stats
 from repro.errors import ConfigurationError
-from repro.memory.replay import (
-    ReplayEngine,
-    TraceCache,
-    array_token,
-    replay_accesses,
-    replay_trace,
-)
-from repro.memory.rowcache import RowCache, RowCacheStats
+from repro.memory.replay import ReplayEngine, TraceCache, array_token, replay_trace
+from repro.memory.rowcache import RowCacheStats
 
 
 def stats_tuple(stats: RowCacheStats):
     return (stats.accesses, stats.hits, stats.misses, stats.hit_lines, stats.miss_lines)
-
-
-def reference_stats(trace, sizes, capacity):
-    cache = RowCache(capacity)
-    cache.access_trace(trace, sizes)
-    return cache.stats
-
-
-def reference_pinned_stats(trace, sizes, capacity, pinned):
-    """The simulator's historical inline loop: pinned rows always hit."""
-    cache = RowCache(capacity)
-    pinned_set = set(pinned.tolist())
-    accesses = hits = hit_lines = miss_lines = 0
-    size_list = sizes.tolist()
-    for row in trace.tolist():
-        size = size_list[row]
-        accesses += 1
-        if row in pinned_set:
-            hits += 1
-            hit_lines += size
-        elif cache.access(row, size):
-            hits += 1
-            hit_lines += size
-        else:
-            miss_lines += size
-    return (accesses, hits, accesses - hits, hit_lines, miss_lines)
 
 
 class TestReplayEquivalence:
@@ -123,7 +92,8 @@ class TestReplayManyAndMemo:
         capacity = 30
         engine = ReplayEngine(trace)
         got = engine.replay(sizes, capacity, pinned=pinned)
-        assert stats_tuple(got) == reference_pinned_stats(trace, sizes, capacity, pinned)
+        want = reference_stats(trace, sizes, capacity, pinned)
+        assert stats_tuple(got) == stats_tuple(want)
 
 
 class TestDeepTreeEquivalence:
@@ -149,9 +119,7 @@ class TestDeepTreeEquivalence:
 
     @staticmethod
     def _reference(trace, table, capacity, pins):
-        if pins.size:
-            return reference_pinned_stats(trace, table, capacity, pins)
-        return stats_tuple(reference_stats(trace, table, capacity))
+        return stats_tuple(reference_stats(trace, table, capacity, pins))
 
     @pytest.mark.parametrize("length,seed,pinned", CASES)
     def test_replay_many_matches_rowcache(self, length, seed, pinned):
@@ -171,31 +139,6 @@ class TestDeepTreeEquivalence:
             assert stats_tuple(stats) == self._reference(trace, tables[1], capacity, pins)
         batch = engine.replay_spectrum_many(tables, capacities[:1], pinned=pins)
         assert stats_tuple(batch[0][0]) == self._reference(trace, tables[0], 120, pins)
-
-
-class TestReplayAccesses:
-    def test_constant_per_row_sizes_use_fast_path(self):
-        rng = np.random.default_rng(4)
-        rows = rng.integers(0, 20, size=300).astype(np.int64)
-        table = rng.integers(1, 7, size=20).astype(np.int64)
-        per_access = table[rows]
-        got = replay_accesses(rows, per_access, 40)
-        assert stats_tuple(got) == stats_tuple(reference_stats(rows, table, 40))
-
-    def test_varying_sizes_fall_back_to_reference(self):
-        # Re-access with a larger size exercises resize-on-reaccess, which
-        # only the reference implementation models; the fallback must match.
-        rows = np.asarray([0, 1, 0, 0], dtype=np.int64)
-        sizes = np.asarray([4, 2, 6, 6], dtype=np.int64)
-        got = replay_accesses(rows, sizes, 16)
-        cache = RowCache(16)
-        for row, size in zip(rows.tolist(), sizes.tolist()):
-            cache.access(row, size)
-        assert stats_tuple(got) == stats_tuple(cache.stats)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            replay_accesses(np.asarray([0, 1]), np.asarray([1]), 8)
 
 
 class TestTraceCache:
