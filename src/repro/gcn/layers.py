@@ -26,12 +26,25 @@ from repro.gcn.activations import relu, relu_grad
 from repro.graphs.graph import CSRGraph
 
 
+def _check_rows(graph: CSRGraph, matrix: np.ndarray, name: str) -> np.ndarray:
+    matrix = np.asarray(matrix, dtype=np.float32)
+    if matrix.ndim != 2 or matrix.shape[0] != graph.num_vertices:
+        raise SimulationError(
+            f"{name} must be (num_vertices, width); got "
+            f"{matrix.shape} for {graph.num_vertices} vertices"
+        )
+    return matrix
+
+
 def aggregate(graph: CSRGraph, features: np.ndarray, weighted: bool = True) -> np.ndarray:
     """Compute the aggregation phase ``A_hat @ X`` for all vertices.
 
     For every source vertex ``v`` the result row is the weighted sum of the
     feature rows of its neighbours — exactly what the accelerator's
-    aggregation engines compute one edge at a time.
+    aggregation engines compute one edge at a time.  The sum runs over the
+    graph's memoized :class:`~repro.graphs.segment.SegmentPlan`, adding each
+    row's neighbours in CSR order (bit-identical to an edge-by-edge
+    scatter-add).
 
     Args:
         graph: Topology; ``graph.weights`` holds the normalised adjacency
@@ -40,33 +53,21 @@ def aggregate(graph: CSRGraph, features: np.ndarray, weighted: bool = True) -> n
         weighted: Use the edge weights (GCN); ``False`` performs an
             unweighted sum (GINConv).
     """
-    features = np.asarray(features, dtype=np.float32)
-    if features.ndim != 2 or features.shape[0] != graph.num_vertices:
-        raise SimulationError(
-            "features must be (num_vertices, width); got "
-            f"{features.shape} for {graph.num_vertices} vertices"
-        )
-    sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
-    gathered = features[graph.indices]
-    if weighted:
-        gathered = gathered * graph.weights[:, None]
-    out = np.zeros_like(features)
-    np.add.at(out, sources, gathered)
-    return out
+    features = _check_rows(graph, features, "features")
+    weights = graph.weights if weighted else None
+    return graph.segment_plan().sum(features, weights)
 
 
 def aggregate_transpose(
     graph: CSRGraph, grad: np.ndarray, weighted: bool = True
 ) -> np.ndarray:
-    """Backward pass of :func:`aggregate`: compute ``A_hat^T @ grad``."""
-    grad = np.asarray(grad, dtype=np.float32)
-    sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
-    scattered = grad[sources]
-    if weighted:
-        scattered = scattered * graph.weights[:, None]
-    out = np.zeros_like(grad)
-    np.add.at(out, graph.indices, scattered)
-    return out
+    """Backward pass of :func:`aggregate`: compute ``A_hat^T @ grad``.
+
+    Every destination adds its sources' gradient rows in edge order.
+    """
+    grad = _check_rows(graph, grad, "grad")
+    weights = graph.weights if weighted else None
+    return graph.segment_plan(transpose=True).sum(grad, weights)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

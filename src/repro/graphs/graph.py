@@ -11,11 +11,12 @@ simulators and the numpy GCN layers need.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError
+from repro.graphs.segment import SegmentPlan, column_segment_plan, row_segment_plan
 
 
 class CSRGraph:
@@ -69,6 +70,7 @@ class CSRGraph:
         self.weights = weights
         self.name = name
         self._fingerprint: Optional[str] = None
+        self._segment_plans: Dict[bool, SegmentPlan] = {}
 
     def fingerprint(self) -> str:
         """Stable content digest of the topology (indptr + indices).
@@ -87,6 +89,20 @@ class CSRGraph:
             digest.update(np.ascontiguousarray(self.indices).tobytes())
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
+
+    def segment_plan(self, transpose: bool = False) -> SegmentPlan:
+        """The :class:`SegmentPlan` summing ``A @ X`` (or ``A^T @ G``).
+
+        Structure-only (built from ``indptr``/``indices``; weights are passed
+        to :meth:`SegmentPlan.sum` on every call), built lazily and memoized
+        under the same immutability contract as :meth:`fingerprint`.
+        """
+        plan = self._segment_plans.get(transpose)
+        if plan is None:
+            build = column_segment_plan if transpose else row_segment_plan
+            plan = build(self.indptr, self.indices)
+            self._segment_plans[transpose] = plan
+        return plan
 
     # ------------------------------------------------------------------ #
     # Basic properties

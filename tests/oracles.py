@@ -10,7 +10,9 @@ Each function here is the plain loop the corresponding fast path in
   pipeline on the oracles;
 * the loop trace builders and BFS reordering of
   :mod:`repro.accelerator.tiling`;
-* the loop-over-slices twin of :func:`repro.gcn.sparsity.per_slice_nonzeros`.
+* the loop-over-slices twin of :func:`repro.gcn.sparsity.per_slice_nonzeros`;
+* the ``np.add.at`` scatters :func:`repro.gcn.layers.aggregate` and
+  :func:`repro.gcn.layers.aggregate_transpose` replaced with segment sums.
 """
 
 from __future__ import annotations
@@ -314,3 +316,44 @@ def per_slice_nonzeros_reference(matrix: np.ndarray, slice_size: int) -> np.ndar
         stop = min(width, start + slice_size)
         counts[:, index] = np.count_nonzero(matrix[:, start:stop], axis=1)
     return counts
+
+
+# --------------------------------------------------------------------------- #
+# GCN aggregation (repro.gcn.layers)
+# --------------------------------------------------------------------------- #
+def aggregate_reference(
+    graph: CSRGraph, features: np.ndarray, weighted: bool = True
+) -> np.ndarray:
+    """``A_hat @ X`` as an edge-by-edge ``np.add.at`` scatter."""
+    features = np.asarray(features, dtype=np.float32)
+    if features.ndim != 2 or features.shape[0] != graph.num_vertices:
+        raise SimulationError(
+            "features must be (num_vertices, width); got "
+            f"{features.shape} for {graph.num_vertices} vertices"
+        )
+    sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
+    gathered = features[graph.indices]
+    if weighted:
+        gathered = gathered * graph.weights[:, None]
+    out = np.zeros_like(features)
+    np.add.at(out, sources, gathered)
+    return out
+
+
+def aggregate_transpose_reference(
+    graph: CSRGraph, grad: np.ndarray, weighted: bool = True
+) -> np.ndarray:
+    """``A_hat^T @ grad`` as an edge-by-edge ``np.add.at`` scatter."""
+    grad = np.asarray(grad, dtype=np.float32)
+    if grad.ndim != 2 or grad.shape[0] != graph.num_vertices:
+        raise SimulationError(
+            "grad must be (num_vertices, width); got "
+            f"{grad.shape} for {graph.num_vertices} vertices"
+        )
+    sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
+    scattered = grad[sources]
+    if weighted:
+        scattered = scattered * graph.weights[:, None]
+    out = np.zeros_like(grad)
+    np.add.at(out, graph.indices, scattered)
+    return out
