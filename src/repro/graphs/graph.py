@@ -11,7 +11,7 @@ simulators and the numpy GCN layers need.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class CSRGraph:
         num_vertices: Number of vertices.
         indptr: ``int64`` array of length ``num_vertices + 1``; row ``v``'s
             neighbours are ``indices[indptr[v]:indptr[v + 1]]``.
-        indices: ``int32`` array of destination vertex ids, one per edge.
+        indices: ``int64`` array of destination vertex ids, one per edge.
         weights: ``float32`` array of edge weights, one per edge.  For a GCN
             this holds the normalised adjacency values.
         name: Optional human-readable name (dataset name).
@@ -66,7 +66,7 @@ class CSRGraph:
                 raise GraphError("weights must have one entry per edge")
 
         self.indptr = indptr
-        self.indices = indices.astype(np.int64)
+        self.indices = indices
         self.weights = weights
         self.name = name
         self._fingerprint: Optional[str] = None
@@ -134,18 +134,6 @@ class CSRGraph:
         self._check_vertex(vertex)
         return self.indices[self.indptr[vertex] : self.indptr[vertex + 1]]
 
-    def neighbor_weights(self, vertex: int) -> np.ndarray:
-        """Return the edge weights of ``vertex``'s outgoing edges."""
-        self._check_vertex(vertex)
-        return self.weights[self.indptr[vertex] : self.indptr[vertex + 1]]
-
-    def edges(self) -> Iterator[Tuple[int, int, float]]:
-        """Iterate over ``(source, destination, weight)`` triples."""
-        for src in range(self.num_vertices):
-            start, stop = self.indptr[src], self.indptr[src + 1]
-            for offset in range(start, stop):
-                yield src, int(self.indices[offset]), float(self.weights[offset])
-
     def _check_vertex(self, vertex: int) -> None:
         if not 0 <= vertex < self.num_vertices:
             raise GraphError(
@@ -155,14 +143,6 @@ class CSRGraph:
     # ------------------------------------------------------------------ #
     # Conversions
     # ------------------------------------------------------------------ #
-    def to_dense(self) -> np.ndarray:
-        """Return the dense ``num_vertices x num_vertices`` adjacency matrix."""
-        dense = np.zeros((self.num_vertices, self.num_vertices), dtype=np.float32)
-        for src in range(self.num_vertices):
-            start, stop = self.indptr[src], self.indptr[src + 1]
-            dense[src, self.indices[start:stop]] = self.weights[start:stop]
-        return dense
-
     @classmethod
     def from_dense(cls, adjacency: np.ndarray, name: str = "graph") -> "CSRGraph":
         """Build a graph from a dense adjacency matrix (non-zeros become edges)."""
@@ -199,44 +179,70 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Build a graph from an edge list.
 
+        ``edges`` is either an integer ``(m, 2)`` array, used as is, or any
+        other iterable of ``(source, destination)`` pairs (a list of tuples,
+        a generator), which is materialised once.  An empty iterable or a
+        ``(0, 2)`` array gives a graph without edges; any other shape, and
+        non-integer endpoints, raise :class:`GraphError`.
+
+        The edges are packed into one key ``src * num_vertices + dst`` and
+        ordered by a single stable sort of that key, which is CSR
+        ``(source, destination)`` order with ties kept in input order.  With
+        ``deduplicate`` only the first occurrence of each ``(src, dst)``
+        pair survives, so a duplicated edge keeps its first weight.
+
         Args:
             num_vertices: Number of vertices.
-            edges: Iterable of ``(source, destination)`` pairs.
+            edges: ``(source, destination)`` pairs.
             weights: Optional per-edge weights aligned with ``edges``.
             name: Graph name.
             deduplicate: Remove duplicate edges (keeping the first weight).
         """
-        edge_array = np.asarray(list(edges), dtype=np.int64)
+        if isinstance(edges, np.ndarray):
+            edge_array = edges
+        else:
+            try:
+                edge_array = np.asarray(list(edges))
+            except ValueError as exc:
+                raise GraphError("edges must be (source, destination) pairs") from exc
+        if edge_array.shape == (0,):
+            edge_array = edge_array.reshape(0, 2)
+        if edge_array.ndim != 2 or edge_array.shape[1] != 2:
+            raise GraphError("edges must be (source, destination) pairs")
+        if edge_array.size and not np.issubdtype(edge_array.dtype, np.integer):
+            raise GraphError(
+                f"edge endpoints must be integers, got dtype {edge_array.dtype}"
+            )
         if edge_array.size == 0:
             indptr = np.zeros(num_vertices + 1, dtype=np.int64)
             return cls(indptr, np.zeros(0, dtype=np.int64), name=name)
-        if edge_array.ndim != 2 or edge_array.shape[1] != 2:
-            raise GraphError("edges must be (source, destination) pairs")
+        edge_array = edge_array.astype(np.int64, copy=False)
         if edge_array.min() < 0 or edge_array.max() >= num_vertices:
             raise GraphError("edge endpoints must lie in [0, num_vertices)")
 
+        num_edges = edge_array.shape[0]
         if weights is None:
-            weight_array = np.ones(edge_array.shape[0], dtype=np.float32)
+            weight_array = np.ones(num_edges, dtype=np.float32)
         else:
             weight_array = np.asarray(weights, dtype=np.float32)
-            if weight_array.shape[0] != edge_array.shape[0]:
+            if weight_array.shape != (num_edges,):
                 raise GraphError("weights must align with edges")
 
+        sources = edge_array[:, 0]
+        destinations = edge_array[:, 1]
+        keys = sources * num_vertices + destinations
+        order = np.argsort(keys, kind="stable")
         if deduplicate:
-            keys = edge_array[:, 0] * num_vertices + edge_array[:, 1]
-            _, unique_idx = np.unique(keys, return_index=True)
-            unique_idx = np.sort(unique_idx)
-            edge_array = edge_array[unique_idx]
-            weight_array = weight_array[unique_idx]
+            sorted_keys = keys[order]
+            first = np.empty(num_edges, dtype=bool)
+            first[0] = True
+            np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+            order = order[first]
 
-        order = np.lexsort((edge_array[:, 1], edge_array[:, 0]))
-        edge_array = edge_array[order]
-        weight_array = weight_array[order]
-
-        counts = np.bincount(edge_array[:, 0], minlength=num_vertices)
+        counts = np.bincount(sources[order], minlength=num_vertices)
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, edge_array[:, 1], weight_array, name=name)
+        return cls(indptr, destinations[order], weight_array[order], name=name)
 
     # ------------------------------------------------------------------ #
     # Transformations
@@ -256,7 +262,7 @@ class CSRGraph:
         permutation = np.asarray(permutation, dtype=np.int64)
         if permutation.shape != (self.num_vertices,):
             raise GraphError("permutation must have one entry per vertex")
-        if np.sort(permutation).tolist() != list(range(self.num_vertices)):
+        if not np.array_equal(np.sort(permutation), np.arange(self.num_vertices)):
             raise GraphError("permutation must be a bijection over the vertex ids")
 
         # One stable sort of all edges by (new source, new destination)
@@ -298,30 +304,6 @@ class CSRGraph:
         weights = np.concatenate([self.weights, self.weights])
         return CSRGraph.from_edge_list(
             self.num_vertices, pairs, weights=weights, name=self.name, deduplicate=True
-        )
-
-    def subgraph(self, vertices: Sequence[int]) -> "CSRGraph":
-        """Return the induced subgraph on ``vertices`` (relabelled 0..k-1)."""
-        vertex_ids = np.asarray(sorted(set(int(v) for v in vertices)), dtype=np.int64)
-        if vertex_ids.size and (
-            vertex_ids.min() < 0 or vertex_ids.max() >= self.num_vertices
-        ):
-            raise GraphError("subgraph vertices out of range")
-        mapping = -np.ones(self.num_vertices, dtype=np.int64)
-        mapping[vertex_ids] = np.arange(vertex_ids.size, dtype=np.int64)
-
-        edges = []
-        weights = []
-        for new_src, old_src in enumerate(vertex_ids):
-            start, stop = self.indptr[old_src], self.indptr[old_src + 1]
-            dests = self.indices[start:stop]
-            wts = self.weights[start:stop]
-            keep = mapping[dests] >= 0
-            for dest, weight in zip(mapping[dests[keep]], wts[keep]):
-                edges.append((new_src, int(dest)))
-                weights.append(float(weight))
-        return CSRGraph.from_edge_list(
-            vertex_ids.size, edges, weights=weights, name=f"{self.name}-sub"
         )
 
     # ------------------------------------------------------------------ #

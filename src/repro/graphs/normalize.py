@@ -49,19 +49,29 @@ def gcn_normalize(graph: CSRGraph, add_loops: bool = True) -> CSRGraph:
             formulation).  Set to ``False`` to normalise the raw adjacency.
     """
     work = add_self_loops(graph) if add_loops else graph
-    degrees = np.zeros(work.num_vertices, dtype=np.float64)
-    sources = np.repeat(np.arange(work.num_vertices, dtype=np.int64), work.degrees)
-    np.add.at(degrees, sources, work.weights)
-
-    in_degrees = np.zeros(work.num_vertices, dtype=np.float64)
-    np.add.at(in_degrees, work.indices, work.weights)
+    num_vertices = work.num_vertices
+    sources = np.repeat(np.arange(num_vertices, dtype=np.int64), work.degrees)
+    # bincount accumulates the float32 weights in float64, in edge order.
+    degrees = np.bincount(sources, weights=work.weights, minlength=num_vertices)
+    in_degrees = np.bincount(
+        work.indices, weights=work.weights, minlength=num_vertices
+    )
 
     # Symmetric normalisation uses the degree of both endpoints; for a
     # symmetric adjacency in-degree equals out-degree, and for a directed one
     # this mirrors the common implementation that uses sqrt(d_out) * sqrt(d_in).
-    out_scale = np.where(degrees > 0, 1.0 / np.sqrt(degrees), 0.0)
-    in_scale = np.where(in_degrees > 0, 1.0 / np.sqrt(in_degrees), 0.0)
+    out_scale = _inverse_sqrt(degrees)
+    in_scale = _inverse_sqrt(in_degrees)
     new_weights = (
         work.weights * out_scale[sources] * in_scale[work.indices]
     ).astype(np.float32)
     return work.with_weights(new_weights)
+
+
+def _inverse_sqrt(degrees: np.ndarray) -> np.ndarray:
+    """``1 / sqrt(d)`` where ``d > 0``, zero elsewhere, without a warning."""
+    positive = degrees > 0
+    scale = np.zeros_like(degrees)
+    np.sqrt(degrees, out=scale, where=positive)
+    np.divide(1.0, scale, out=scale, where=positive)
+    return scale

@@ -12,20 +12,24 @@ Each function here is the plain loop the corresponding fast path in
   :mod:`repro.accelerator.tiling`;
 * the loop-over-slices twin of :func:`repro.gcn.sparsity.per_slice_nonzeros`;
 * the ``np.add.at`` scatters :func:`repro.gcn.layers.aggregate` and
-  :func:`repro.gcn.layers.aggregate_transpose` replaced with segment sums.
+  :func:`repro.gcn.layers.aggregate_transpose` replaced with segment sums;
+* the list round-trip and three sorts of
+  :meth:`repro.graphs.graph.CSRGraph.from_edge_list`, and the ``np.add.at``
+  degree sums of :func:`repro.graphs.normalize.gcn_normalize`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 from math import ceil
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.accelerator.tiling import TilingPlan
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, GraphError, SimulationError
 from repro.graphs.graph import CSRGraph
+from repro.graphs.normalize import add_self_loops
 from repro.memory.rowcache import RowCacheStats
 
 
@@ -357,3 +361,70 @@ def aggregate_transpose_reference(
     out = np.zeros_like(grad)
     np.add.at(out, graph.indices, scattered)
     return out
+
+
+# --------------------------------------------------------------------------- #
+# Graph construction (repro.graphs)
+# --------------------------------------------------------------------------- #
+def from_edge_list_reference(
+    num_vertices: int,
+    edges: Iterable[Tuple[int, int]],
+    weights: Optional[Sequence[float]] = None,
+    name: str = "graph",
+    deduplicate: bool = True,
+) -> CSRGraph:
+    """List round-trip plus three sorts: the twin of ``CSRGraph.from_edge_list``.
+
+    Deduplicates with ``np.unique`` (first occurrences), restores input
+    order with ``np.sort`` and orders the survivors with ``np.lexsort``.
+    """
+    edge_array = np.asarray(list(edges), dtype=np.int64)
+    if edge_array.size == 0:
+        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+        return CSRGraph(indptr, np.zeros(0, dtype=np.int64), name=name)
+    if edge_array.ndim != 2 or edge_array.shape[1] != 2:
+        raise GraphError("edges must be (source, destination) pairs")
+    if edge_array.min() < 0 or edge_array.max() >= num_vertices:
+        raise GraphError("edge endpoints must lie in [0, num_vertices)")
+
+    if weights is None:
+        weight_array = np.ones(edge_array.shape[0], dtype=np.float32)
+    else:
+        weight_array = np.asarray(weights, dtype=np.float32)
+        if weight_array.shape[0] != edge_array.shape[0]:
+            raise GraphError("weights must align with edges")
+
+    if deduplicate:
+        keys = edge_array[:, 0] * num_vertices + edge_array[:, 1]
+        _, unique_idx = np.unique(keys, return_index=True)
+        unique_idx = np.sort(unique_idx)
+        edge_array = edge_array[unique_idx]
+        weight_array = weight_array[unique_idx]
+
+    order = np.lexsort((edge_array[:, 1], edge_array[:, 0]))
+    edge_array = edge_array[order]
+    weight_array = weight_array[order]
+
+    counts = np.bincount(edge_array[:, 0], minlength=num_vertices)
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return CSRGraph(indptr, edge_array[:, 1], weight_array, name=name)
+
+
+def gcn_normalize_reference(graph: CSRGraph, add_loops: bool = True) -> CSRGraph:
+    """``D^{-1/2} (A + I) D^{-1/2}`` with ``np.add.at`` degree sums."""
+    work = add_self_loops(graph) if add_loops else graph
+    degrees = np.zeros(work.num_vertices, dtype=np.float64)
+    sources = np.repeat(np.arange(work.num_vertices, dtype=np.int64), work.degrees)
+    np.add.at(degrees, sources, work.weights)
+
+    in_degrees = np.zeros(work.num_vertices, dtype=np.float64)
+    np.add.at(in_degrees, work.indices, work.weights)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out_scale = np.where(degrees > 0, 1.0 / np.sqrt(degrees), 0.0)
+        in_scale = np.where(in_degrees > 0, 1.0 / np.sqrt(in_degrees), 0.0)
+    new_weights = (
+        work.weights * out_scale[sources] * in_scale[work.indices]
+    ).astype(np.float32)
+    return work.with_weights(new_weights)
