@@ -13,17 +13,14 @@ Compressed-Sparse Features in Deep Graph Convolutional Network Accelerators"
 * ``repro.memory`` — the row-cache trace-replay engine
   (``repro.memory.replay``) behind the trace-driven aggregation simulation,
   the HBM DRAM model, and energy tables.
-* ``repro.accelerator`` — the SGCN accelerator model and baseline models of
-  GCNAX, HyGCN, AWB-GCN, EnGN, and I-GCN.
+* ``repro.accelerator`` — design points for SGCN and the GCNAX, HyGCN,
+  AWB-GCN, EnGN, and I-GCN baselines, and the pipeline that simulates them.
 * ``repro.core`` — configuration dataclasses, the canonical
   ``RunSpec``/``Session`` API, the classic ``simulate()`` shims, and the
   result documents.
 * ``repro.experiments`` — declarative experiment sweeps: scenario/sweep
   specs, a parallel runner with result caching, paper-figure scenario
   packs, and the ``python -m repro`` CLI.
-* ``repro.bench`` — the ``repro bench`` harness timing fresh-session sweeps
-  (and grouped spectrum vs per-knob dispatch) into ``BENCH_*.json``
-  documents.
 * ``repro.resilience`` — deterministic fault injection, retry/timeout
   execution policies, sweep checkpointing, and graceful degradation for
   long sweeps.
@@ -98,16 +95,6 @@ from repro.errors import (
 
 __version__ = "1.0.0"
 
-
-def __getattr__(name):
-    # Lazy export: the bench harness drags in timing machinery that plain
-    # `import repro` users (and the CI import smoke) should not pay for.
-    if name == "run_benchmarks":
-        from repro.bench import run_benchmarks
-
-        return run_benchmarks
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "DESIGN_KNOBS",
     "DesignPoint",
@@ -132,7 +119,6 @@ __all__ = [
     "ReplayEngine",
     "TraceCache",
     "replay_trace",
-    "run_benchmarks",
     "simulate",
     "compare_accelerators",
     "available_accelerators",

@@ -1,29 +1,28 @@
-"""Accelerator models: SGCN and the prior-work baselines it is compared to."""
+"""Accelerator models: SGCN and the prior-work baselines it is compared to.
+
+Every accelerator is a :class:`DesignPoint` (paper Table I's design
+choices).  The nine built-in designs live in :data:`BUILTIN_DESIGNS` and are
+registered by name; :func:`register_design` adds new ones.  The registry
+hands out :class:`AcceleratorModel` wrappers, which run a design through the
+five-stage pipeline (:func:`simulate_design`).
+"""
 
 from __future__ import annotations
 
-from repro.accelerator.engines import SIMDAggregationEngine, PrefixSumUnit
+from repro.accelerator.engines import SIMDAggregationEngine
 from repro.accelerator.systolic import SystolicArray
 from repro.accelerator.design import (
     BUILTIN_DESIGNS,
     DESIGN_KNOBS,
     DesignPoint,
 )
-from repro.accelerator.pipeline import simulate_design
-from repro.accelerator.simulator import (
+from repro.accelerator.pipeline import (
     LayerWorkload,
     PhaseResult,
     build_workloads,
-    AcceleratorModel,
+    simulate_design,
 )
-from repro.accelerator.sgcn import SGCNAccelerator
-from repro.accelerator.baselines import (
-    GCNAXAccelerator,
-    HyGCNAccelerator,
-    AWBGCNAccelerator,
-    EnGNAccelerator,
-    IGCNAccelerator,
-)
+from repro.accelerator.simulator import AcceleratorModel
 from repro.accelerator.registry import (
     ACCELERATORS,
     DESIGN_POINTS,
@@ -45,18 +44,11 @@ __all__ = [
     "register_design",
     "simulate_design",
     "SIMDAggregationEngine",
-    "PrefixSumUnit",
     "SystolicArray",
     "LayerWorkload",
     "PhaseResult",
     "build_workloads",
     "AcceleratorModel",
-    "SGCNAccelerator",
-    "GCNAXAccelerator",
-    "HyGCNAccelerator",
-    "AWBGCNAccelerator",
-    "EnGNAccelerator",
-    "IGCNAccelerator",
     "ACCELERATORS",
     "available_accelerators",
     "get_accelerator",

@@ -14,9 +14,10 @@ memoize model instances by design identity and a sweep over hypothetical
 designs (the ``design-space`` scenario pack) can deduplicate grid points.
 
 The nine built-in accelerators are declared here as design points
-(:data:`BUILTIN_DESIGNS`); the historical ``AcceleratorModel`` subclasses in
-:mod:`repro.accelerator.baselines` / :mod:`repro.accelerator.sgcn` are thin
-deprecation shims that resolve to these same points.
+(:data:`BUILTIN_DESIGNS`).  A design point is the only way to declare an
+accelerator: new ones are derived from these (:meth:`DesignPoint.derive`) or
+built directly, then registered with
+:func:`~repro.accelerator.registry.register_design`.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ byte-identical with spans on).  Two leak vectors are mechanical enough to
 lint:
 
 * **N1** — wall-clock reads (``time.time``/``perf_counter``/``monotonic``)
-  outside the layers that own timing (``telemetry/``, ``bench/``,
-  ``resilience/``).  A timing call in simulation code is either dead weight
+  outside the layers that own timing (``telemetry/`` and ``resilience/``).  A timing call in simulation code is either dead weight
   or — worse — an input to a result.  Intentional CLI progress/ETA timing
   carries an explicit ``# repro: noqa[N1]`` with its reason.
 * **N2** — ``print(...)`` outside the CLI's ``OutputWriter`` and
@@ -38,7 +37,7 @@ _TIMING_CALLS = frozenset(
 #: Path components whose modules own wall-clock access.  ``resilience`` is
 #: timing infrastructure by definition (deadlines, backoff, reclamation);
 #: none of it ever enters a simulated result.
-_TIMING_ALLOWED_COMPONENTS = frozenset({"telemetry", "bench", "resilience"})
+_TIMING_ALLOWED_COMPONENTS = frozenset({"telemetry", "resilience"})
 
 #: Class whose methods are the CLI's one print funnel.
 _PRINT_FUNNEL_CLASS = "OutputWriter"
@@ -49,12 +48,12 @@ def _path_components(module: LintModule) -> FrozenSet[str]:
 
 
 class TimingOutsideTelemetryRule(Rule):
-    """N1: wall-clock reads live in telemetry/ and bench/ only."""
+    """N1: wall-clock reads live in telemetry/ and resilience/ only."""
 
     rule_id = "N1"
     name = "timing-outside-telemetry"
     summary = (
-        "no time.time/perf_counter/monotonic outside telemetry/ and bench/ "
+        "no time.time/perf_counter/monotonic outside telemetry/ and resilience/ "
         "(intentional CLI timing carries a noqa with its reason)"
     )
 
@@ -71,7 +70,7 @@ class TimingOutsideTelemetryRule(Rule):
                     self.finding(
                         module,
                         node,
-                        f"{resolved} outside telemetry//bench/ risks leaking "
+                        f"{resolved} outside telemetry//resilience/ risks leaking "
                         "wall-clock into simulated results; route timing "
                         "through repro.telemetry spans",
                     )

@@ -43,7 +43,8 @@ from repro.accelerator.registry import (
     PAPER_COMPARISON,
     available_accelerators as _available_accelerators,
 )
-from repro.accelerator.simulator import GCN_VARIANTS, AcceleratorModel
+from repro.accelerator.pipeline import GCN_VARIANTS
+from repro.accelerator.simulator import AcceleratorModel
 from repro.core.config import SystemConfig
 from repro.core.results import ComparisonResult, SimulationResult
 from repro.core.runspec import DEFAULT_MAX_VERTICES, RunSpec

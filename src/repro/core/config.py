@@ -223,29 +223,6 @@ class SystemConfig:
         if self.sac_strip_height <= 0:
             raise ConfigurationError("SAC strip height must be positive")
 
-    def with_cache_capacity(self, capacity_bytes: int) -> "SystemConfig":
-        """Return a copy with a different cache capacity."""
-        return replace(self, cache=replace(self.cache, capacity_bytes=capacity_bytes))
-
-    def with_engines(self, num_engines: int) -> "SystemConfig":
-        """Return a copy with ``num_engines`` aggregation and combination engines."""
-        return replace(
-            self,
-            engines=replace(
-                self.engines,
-                num_aggregation_engines=num_engines,
-                num_combination_engines=num_engines,
-            ),
-        )
-
-    def with_dram(self, dram: DRAMConfig) -> "SystemConfig":
-        """Return a copy using a different DRAM configuration."""
-        return replace(self, dram=dram)
-
-    def with_slice_size(self, slice_size: int) -> "SystemConfig":
-        """Return a copy with a different BEICSR unit slice size."""
-        return replace(self, sgcn_slice_size=slice_size)
-
     def describe(self) -> Dict[str, object]:
         """Return a flat dictionary describing the configuration.
 

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.accelerator.design import DESIGN_KNOBS
 from repro.accelerator.registry import ACCELERATORS, resolve_design
-from repro.accelerator.simulator import GCN_VARIANTS
+from repro.accelerator.pipeline import GCN_VARIANTS
 from repro.core.config import HBM1, HBM2, DRAMConfig, SystemConfig
 from repro.errors import ConfigurationError
 from repro.formats.registry import FORMATS
@@ -68,6 +69,23 @@ SUPPORTED_OVERRIDES: Tuple[str, ...] = (
 )
 
 
+#: Override keys :func:`build_config` reads as floats; every other key but
+#: ``dram`` and ``pipeline_phases`` is read as an integer.
+_FLOAT_OVERRIDES = ("frequency_ghz", "dram_bandwidth_gbps")
+
+
+def _check_numeric_override(key: str, value: Any) -> None:
+    """Reject a numeric override that is not a finite number of its kind."""
+    try:
+        valid = math.isfinite(float(value))
+        if valid and key not in _FLOAT_OVERRIDES:
+            int(value)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ConfigurationError(f"override {key}={value!r} is not a finite number")
+
+
 def _normalise_overrides(overrides: Mapping[str, Any]) -> Dict[str, object]:
     """Validate override keys and return a plain, sorted dictionary."""
     unknown = sorted(set(overrides) - set(SUPPORTED_OVERRIDES))
@@ -90,6 +108,9 @@ def build_config(
     than mid-sweep.
     """
     overrides = _normalise_overrides(overrides)
+    for key, value in overrides.items():
+        if key not in ("dram", "pipeline_phases"):
+            _check_numeric_override(key, value)
     config = base or SystemConfig()
     engines = config.engines
     cache = config.cache
@@ -303,6 +324,8 @@ class RunSpec:
             # rejected in __post_init__, before normalisation could derive
             # against the wrong base format.)
             resolve_design(self.accelerator).derive(**self.design)
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.num_layers <= 0:
             raise ConfigurationError("num_layers must be positive")
         if self.max_vertices < 2:

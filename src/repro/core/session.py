@@ -47,7 +47,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.accelerator.design import DESIGN_KNOBS, DesignPoint
 from repro.accelerator.registry import ACCELERATORS
-from repro.accelerator.simulator import GCN_VARIANTS, AcceleratorModel
+from repro.accelerator.pipeline import GCN_VARIANTS
+from repro.accelerator.simulator import AcceleratorModel
 from repro.core.config import SystemConfig
 from repro.core.results import ComparisonResult, SimulationResult
 from repro.core.runspec import RunSpec, build_config
@@ -304,7 +305,7 @@ class Session:
             model = model.use_design(model.design.derive(**dict(design)))
         if feature_format is not None:
             model = model.use_format(feature_format)
-        format_name = FORMATS.canonical(model.feature_format_name)
+        format_name = FORMATS.canonical(model.feature_format.name)
         format_factory = self._format_factory(format_name)
         # Dedupe by resolved design point: an equal point built earlier (and
         # with the same live registrations) is the same model.

@@ -15,9 +15,6 @@ Subcommands:
   :class:`repro.core.session.Session`, reusing datasets across scenarios);
 * ``export`` — merge a directory of per-scenario JSON documents (sweep
   output or the cache store) into one CSV/JSON summary table;
-* ``bench`` — time the built-in scenario packs in fresh sessions (and
-  grouped spectrum vs per-knob dispatch on the replay-knob packs), and write
-  a ``BENCH_*.json`` performance-trajectory document;
 * ``stats`` — pretty-print a ``metrics.json`` telemetry document;
 * ``lint`` — run the AST invariant battery (``--changed`` lints only
   git-modified files for pre-commit use);
@@ -49,7 +46,7 @@ from repro.accelerator.registry import (
     available_accelerators,
     resolve_design,
 )
-from repro.accelerator.simulator import GCN_VARIANTS
+from repro.accelerator.pipeline import GCN_VARIANTS
 from repro.core.session import default_session
 from repro.errors import ConfigurationError, ReproError
 from repro.formats.registry import FORMATS, available_formats
@@ -371,42 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: inferred from --out suffix)",
     )
     export_parser.set_defaults(func=_cmd_export)
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="benchmark the trace-replay engine on the built-in scenario packs",
-    )
-    bench_parser.add_argument(
-        "packs",
-        nargs="*",
-        help=(
-            "scenario packs to time (default: the main-comparison grid at "
-            "its default scale and at 2048 vertices)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: the smallest pack at reduced scale, one repeat",
-    )
-    bench_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="timed repeats per case, best-of (default: 3)",
-    )
-    bench_parser.add_argument(
-        "--max-vertices",
-        type=int,
-        default=None,
-        help="scale cap applied to the packs named on the command line",
-    )
-    bench_parser.add_argument(
-        "--out",
-        default="BENCH.json",
-        help="output JSON path (default: BENCH.json)",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
 
     lint_parser = subparsers.add_parser(
         "lint",
@@ -768,55 +729,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_metrics_json(metrics_path, sweep_metrics_document(sweep_documents))
         OUT.info(f"wrote {metrics_path}")
     return exit_code
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Imported lazily: the bench harness drags in the whole simulation stack.
-    from repro.bench import DEFAULT_REPEATS, run_benchmarks
-
-    cases = None
-    if args.packs:
-        cases = [(name, args.max_vertices) for name in args.packs]
-    elif args.max_vertices is not None:
-        raise ConfigurationError(
-            "--max-vertices applies to the packs named on the command line; name at least one"
-        )
-    document = run_benchmarks(
-        cases=cases,
-        repeats=args.repeats if args.repeats is not None else DEFAULT_REPEATS,
-        quick=args.quick,
-        out=args.out,
-    )
-    for entry in document["results"]:
-        scale = entry["max_vertices"] if entry["max_vertices"] else "default"
-        pack_label = entry["pack"] + (
-            " (quick)" if entry.get("quick_pack") else ""
-        )
-        if entry.get("sensitivity"):
-            # Sensitivity protocol: per-knob dispatch vs grouped spectrum
-            # dispatch, both on the vectorized engine.
-            line = (
-                f"{pack_label:<18} scale={scale:<8} runs={entry['runs']:<4} "
-                f"per-knob={entry['vectorized_s']:.3f}s  "
-                f"spectrum={entry['spectrum_s']:.3f}s  "
-                f"speedup={entry['spectrum_speedup']:.2f}x  "
-                f"classes={entry['replay_classes']}"
-            )
-            OUT.data(line)
-            continue
-        OUT.data(
-            f"{pack_label:<18} scale={scale:<8} runs={entry['runs']:<4} "
-            f"vectorized={entry['vectorized_s']:.3f}s"
-        )
-    summary = document["summary"]
-    OUT.data(f"total: {summary['total_vectorized_s']:.3f}s")
-    if summary.get("min_spectrum_speedup") is not None:
-        OUT.data(
-            f"spectrum dispatch: min {summary['min_spectrum_speedup']:.2f}x "
-            "over per-knob dispatch"
-        )
-    OUT.info(f"wrote {args.out}")
-    return 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

@@ -53,15 +53,3 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable log-softmax."""
     shifted = logits - logits.max(axis=axis, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def dropout_mask(
-    shape: tuple, rate: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Return an inverted-dropout mask (scaled so expectation is preserved)."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must lie in [0, 1)")
-    if rate == 0.0:
-        return np.ones(shape, dtype=np.float32)
-    keep = (rng.random(shape) >= rate).astype(np.float32)
-    return keep / (1.0 - rate)

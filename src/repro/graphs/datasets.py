@@ -372,28 +372,6 @@ def load_dataset(
     )
 
 
-def load_all_datasets(
-    order: Tuple[str, ...] = FIGURE_ORDER,
-    max_vertices: int = 2048,
-    max_average_degree: float = 32.0,
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH,
-    num_layers: int = DEFAULT_NUM_LAYERS,
-    seed: int = 0,
-) -> List[Dataset]:
-    """Load every paper dataset in ``order`` (defaults to the Fig. 11 order)."""
-    return [
-        load_dataset(
-            name,
-            max_vertices=max_vertices,
-            max_average_degree=max_average_degree,
-            hidden_width=hidden_width,
-            num_layers=num_layers,
-            seed=seed,
-        )
-        for name in order
-    ]
-
-
 def _resolve_name(name: str) -> str:
     key = name.strip().lower()
     if key in DATASET_SPECS:

@@ -103,12 +103,3 @@ class EnergyTable:
             cache_joules=cache_accesses * self.cache_access_pj * 1e-12,
             dram_joules=dram_bytes * self.dram_pj_per_byte * 1e-12,
         )
-
-    def average_power_w(
-        self, breakdown: EnergyBreakdown, cycles: float, frequency_ghz: float
-    ) -> float:
-        """Average power over an execution of ``cycles`` at ``frequency_ghz``."""
-        if cycles <= 0:
-            return self.static_power_w
-        seconds = cycles / (frequency_ghz * 1e9)
-        return breakdown.total_joules / seconds + self.static_power_w

@@ -31,15 +31,3 @@ class RowCacheStats:
         if self.accesses == 0:
             return 0.0
         return self.hits / self.accesses
-
-    @property
-    def line_hit_rate(self) -> float:
-        """Fraction of cachelines served from the cache."""
-        total = self.hit_lines + self.miss_lines
-        if total == 0:
-            return 0.0
-        return self.hit_lines / total
-
-    def miss_bytes(self, line_bytes: int = 64) -> int:
-        """DRAM fill traffic in bytes."""
-        return self.miss_lines * line_bytes

@@ -1,4 +1,4 @@
-"""Should-flag fixture for N1: wall-clock read outside telemetry//bench/."""
+"""Should-flag fixture for N1: wall-clock read outside telemetry//resilience/."""
 
 import time
 

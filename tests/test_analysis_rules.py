@@ -75,6 +75,20 @@ def test_noqa_fixture_suppresses_the_n1_finding():
     assert silenced.ok
 
 
+@pytest.mark.parametrize(
+    "component, flagged",
+    [("bench", True), ("telemetry", False), ("resilience", False)],
+)
+def test_n1_allows_timing_only_under_telemetry_and_resilience(
+    tmp_path, component, flagged
+):
+    module = tmp_path / component / "timer.py"
+    module.parent.mkdir()
+    module.write_text((FIXTURES / "n1_flag.py").read_text())
+    report = run_lint([module], get_rules(["N1"]))
+    assert len(report.findings) == (1 if flagged else 0)
+
+
 def test_noqa_on_decorator_line_covers_the_def_line():
     # The S1 finding lands on the ``def`` line; the noqa sits on the
     # decorator line above it — span normalisation must connect the two.

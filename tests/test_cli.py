@@ -88,3 +88,34 @@ def test_sweep_rejects_negative_retries(tmp_path, capsys, retries):
     assert code == 2
     assert "--retries" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "seed must be non-negative"),
+        (["--set", "cache_capacity_bytes=abc"], "is not a finite number"),
+        (["--set", "frequency_ghz=nan"], "is not a finite number"),
+        (["--set", "dram_bandwidth_gbps=inf"], "is not a finite number"),
+        (["--set", "cache_capacity_bytes=NaN"], "is not a finite number"),
+        (["--set", "num_engines=1e400"], "is not a finite number"),
+        (["--set", "num_engines=1" + "0" * 400], "is not a finite number"),
+    ],
+)
+def test_run_rejects_bad_ingress_with_one_line_error(capsys, flags, message):
+    code = main(
+        ["run", "--dataset", "cora", "--accelerator", "gcnax",
+         "--max-vertices", "64", *flags]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+def test_retired_bench_subcommand_is_an_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code != 0
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

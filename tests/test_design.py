@@ -121,38 +121,37 @@ def test_with_format_copies_equal_identically_configured_points():
     assert dense_a.slice_size is None
 
 
-def test_builtin_shim_classes_lift_to_the_registered_designs():
-    # The deprecated subclasses and the registered design points must be the
-    # same design — attribute drift between them would silently fork the
-    # accelerator definitions.
-    from repro.accelerator import baselines, sgcn
-
-    shims = {
-        "gcnax": baselines.GCNAXAccelerator,
-        "hygcn": baselines.HyGCNAccelerator,
-        "awb_gcn": baselines.AWBGCNAccelerator,
-        "engn": baselines.EnGNAccelerator,
-        "igcn": baselines.IGCNAccelerator,
-        "sgcn": sgcn.SGCNAccelerator,
-        "sgcn_no_sac": sgcn.SGCNNoSACAccelerator,
-        "sgcn_nonsliced": sgcn.SGCNNonSlicedAccelerator,
-        "sgcn_packed": sgcn.SGCNPackedAccelerator,
-    }
-    assert set(shims) == set(BUILTIN_DESIGNS)
-    for name, cls in shims.items():
-        assert cls().design == BUILTIN_DESIGNS[name], name
+def test_registry_models_wrap_the_registered_designs():
+    # Every built-in accelerator is declared by exactly one design point;
+    # the registry's model for a name must execute that design unchanged.
+    for name, design in BUILTIN_DESIGNS.items():
+        model = get_accelerator(name)
+        assert model.design == design, name
+        assert model.name == design.name == name
 
 
-def test_shim_and_design_models_simulate_identically():
-    from repro.accelerator.sgcn import SGCNAccelerator
+def test_model_simulate_matches_simulate_design():
+    from repro.accelerator.pipeline import simulate_design
     from repro.graphs.datasets import load_dataset
 
     dataset = load_dataset("cora", max_vertices=96, num_layers=4)
-    via_shim = SGCNAccelerator().simulate(dataset)
-    via_design = AcceleratorModel(BUILTIN_DESIGNS["sgcn"]).simulate(dataset)
-    assert json.dumps(via_shim.to_dict(), sort_keys=True) == json.dumps(
+    via_model = get_accelerator("sgcn").simulate(dataset)
+    via_design = simulate_design(BUILTIN_DESIGNS["sgcn"], dataset)
+    assert json.dumps(via_model.to_dict(), sort_keys=True) == json.dumps(
         via_design.to_dict(), sort_keys=True
     )
+
+
+def test_model_exposes_its_design_not_knob_attributes():
+    model = AcceleratorModel(BUILTIN_DESIGNS["awb_gcn"])
+    assert model.design.psum_traffic_factor == 1.0
+    assert model.design.combination_zero_skipping is True
+    assert model.feature_format.name == model.design.feature_format
+    # ``feature_format`` is the model's live format instance, not a knob copy.
+    for knob in set(DESIGN_KNOBS) - {"feature_format"}:
+        assert not hasattr(model, knob), knob
+    with pytest.raises(AttributeError):
+        model.name = "renamed"
 
 
 # --------------------------------------------------------------------------- #
@@ -288,21 +287,6 @@ def test_boolean_knobs_reject_truthy_strings():
         BUILTIN_DESIGNS["gcnax"].derive(column_product="True")
 
 
-def test_wrapped_models_mirror_every_knob_attribute():
-    # A model wrapping an arbitrary design point must report that design's
-    # values through the legacy class-attribute API, not base-class defaults.
-    model = AcceleratorModel(BUILTIN_DESIGNS["awb_gcn"])
-    assert model.psum_traffic_factor == 1.0
-    assert model.combination_zero_skipping is True
-    assert model.sparse_first_layer is True
-    engn = AcceleratorModel(BUILTIN_DESIGNS["engn"])
-    assert engn.tiling_fill_fraction == 3.0
-    assert engn.pins_high_degree_vertices is True
-    sgcn = AcceleratorModel(BUILTIN_DESIGNS["sgcn"])
-    assert sgcn.engine_partition == "sac"
-    assert sgcn.feature_format_name == "beicsr"
-
-
 def test_get_design_detects_temporary_shadowing():
     from repro.accelerator.registry import temporary_accelerator
 
@@ -353,25 +337,6 @@ def test_design_axis_canonicalises_values_and_drops_noops():
     assert explicit_default.design is None
 
 
-def test_legacy_attribute_mutation_still_reaches_simulate():
-    from repro.accelerator.baselines import GCNAXAccelerator
-    from repro.graphs.datasets import load_dataset
-
-    dataset = load_dataset("pubmed", max_vertices=128, num_layers=4)
-    baseline = GCNAXAccelerator().simulate(dataset)
-    mutated = GCNAXAccelerator()
-    mutated.tiling_fill_fraction = 0.2
-    result = mutated.simulate(dataset)
-    assert result.dram_traffic_bytes != baseline.dram_traffic_bytes
-    # The mutation is equivalent to deriving the design point explicitly.
-    derived = AcceleratorModel(
-        BUILTIN_DESIGNS["gcnax"].derive(tiling_fill_fraction=0.2)
-    ).simulate(dataset)
-    assert json.dumps(result.to_dict(), sort_keys=True) == json.dumps(
-        derived.to_dict(), sort_keys=True
-    )
-
-
 def test_explicit_format_default_shares_identity():
     with_default = RunSpec(dataset="cora", accelerator="gcnax",
                            design={"feature_format": "beicsr", "slice_size": 96})
@@ -419,14 +384,26 @@ def test_numeric_knob_spellings_share_identity_and_hash():
     )
 
 
-def test_use_format_preserves_legacy_attribute_mutations():
-    from repro.accelerator.baselines import GCNAXAccelerator
+def test_derived_knob_reaches_simulate():
     from repro.graphs.datasets import load_dataset
 
-    model = GCNAXAccelerator()
-    model.tiling_fill_fraction = 0.5
+    dataset = load_dataset("pubmed", max_vertices=128, num_layers=4)
+    baseline = get_accelerator("gcnax").simulate(dataset)
+    derived = AcceleratorModel(
+        BUILTIN_DESIGNS["gcnax"].derive(tiling_fill_fraction=0.2)
+    ).simulate(dataset)
+    assert derived.dram_traffic_bytes != baseline.dram_traffic_bytes
+
+
+def test_use_format_preserves_derived_knobs():
+    from repro.graphs.datasets import load_dataset
+
+    model = AcceleratorModel(
+        BUILTIN_DESIGNS["gcnax"].derive(tiling_fill_fraction=0.5)
+    )
     copy = model.use_format("beicsr")
     assert copy.design.tiling_fill_fraction == 0.5
+    assert model.design.feature_format != "beicsr"  # receiver untouched
     dataset = load_dataset("cora", max_vertices=96, num_layers=4)
     expected = AcceleratorModel(
         BUILTIN_DESIGNS["gcnax"].derive(
@@ -439,27 +416,7 @@ def test_use_format_preserves_legacy_attribute_mutations():
 
 
 def test_registry_models_expose_slice_size():
-    assert get_accelerator("sgcn").slice_size == 96
-    assert get_accelerator("gcnax").slice_size is None
-    assert AcceleratorModel(SGCN_DESIGN.derive(slice_size=128)).slice_size == 128
-
-
-def test_overridden_build_context_hook_is_still_honored():
-    from repro.accelerator.sgcn import SGCNAccelerator
-    from repro.graphs.datasets import load_dataset
-
-    calls = []
-
-    class Hooked(SGCNAccelerator):
-        def _build_context(self, dataset, config, workloads, trace_cache=None):
-            context = super()._build_context(dataset, config, workloads, trace_cache)
-            calls.append(context.cache_lines)
-            # Legacy-style customisation: halve the cache capacity.
-            context.cache_lines = max(1, context.cache_lines // 2)
-            return context
-
-    dataset = load_dataset("pubmed", max_vertices=128, num_layers=4)
-    hooked = Hooked().simulate(dataset)
-    plain = SGCNAccelerator().simulate(dataset)
-    assert calls  # the hook ran
-    assert hooked.metadata["cache_lines"] == plain.metadata["cache_lines"] // 2
+    assert get_accelerator("sgcn").design.slice_size == 96
+    assert get_accelerator("gcnax").design.slice_size is None
+    wrapped = AcceleratorModel(SGCN_DESIGN.derive(slice_size=128))
+    assert wrapped.design.slice_size == 128

@@ -27,7 +27,7 @@ from repro.accelerator.pipeline import (
     timing,
 )
 from repro.accelerator.registry import ACCELERATORS, DESIGN_POINTS
-from repro.accelerator.simulator import GCN_VARIANTS
+from repro.accelerator.pipeline import GCN_VARIANTS
 from repro.core.config import SystemConfig
 from repro.core.results import SimulationResult
 from repro.core.runspec import RunSpec

@@ -22,7 +22,7 @@ from oracles import (
 )
 from repro.accelerator import pipeline
 from repro.accelerator.registry import ACCELERATORS
-from repro.accelerator.simulator import GCN_VARIANTS, build_workloads
+from repro.accelerator.pipeline import GCN_VARIANTS, build_context, schedule
 from repro.core.config import SystemConfig
 from repro.core.runspec import RunSpec
 from repro.core.session import Session
@@ -77,8 +77,8 @@ def test_rowcache_stats_bit_identical_on_real_traces(accelerator):
     session = Session()
     dataset = session.load_dataset("pubmed", max_vertices=192)
     model = ACCELERATORS.factory(accelerator)()
-    context = model._build_context(
-        dataset, SystemConfig(), build_workloads(dataset)
+    context = schedule(
+        build_context(model.design, model.feature_format, dataset, SystemConfig())
     )
     if context.trace.size == 0:
         pytest.skip("column-product design replays no trace")

@@ -151,20 +151,21 @@ def test_session_memoizes_accelerator_instances():
 
 
 def test_session_cache_does_not_outlive_registry_entries():
+    from repro.accelerator.design import SGCN_DESIGN
     from repro.accelerator.registry import temporary_accelerator
-    from repro.accelerator.sgcn import SGCNAccelerator
+    from repro.accelerator.simulator import AcceleratorModel
 
     session = Session()
-    with temporary_accelerator("mockacc", SGCNAccelerator):
+    with temporary_accelerator("mockacc", lambda: AcceleratorModel(SGCN_DESIGN)):
         assert session.accelerator("mockacc").name == "sgcn"
     # The registration is gone; the session must not serve its cached model.
     with pytest.raises(ConfigurationError, match="unknown accelerator"):
         session.accelerator("mockacc")
 
-    class Other(SGCNAccelerator):
-        display_name = "Other"
+    class Other(AcceleratorModel):
+        pass
 
-    with temporary_accelerator("mockacc", Other):
+    with temporary_accelerator("mockacc", lambda: Other(SGCN_DESIGN)):
         # Re-registered under a different factory: the cache must rebuild.
         assert isinstance(session.accelerator("mockacc"), Other)
 
@@ -234,14 +235,13 @@ def test_config_for_layers_overrides_on_session_base():
 
 
 def test_compare_shim_accepts_custom_instance_baseline():
-    from repro.accelerator.sgcn import SGCNAccelerator
+    from repro.accelerator.design import SGCN_DESIGN
+    from repro.accelerator.simulator import AcceleratorModel
 
-    class MyAccel(SGCNAccelerator):
-        name = "My-Accel"
-
+    custom = AcceleratorModel(SGCN_DESIGN.derive(name="My-Accel"))
     dataset = load_dataset("cora", max_vertices=64, num_layers=4)
     comparison = compare_accelerators(
-        dataset, [MyAccel(), "gcnax"], baseline="My-Accel"
+        dataset, [custom, "gcnax"], baseline="My-Accel"
     )
     assert comparison.baseline == "My-Accel"
     assert comparison.speedups("My-Accel")["My-Accel"] == pytest.approx(1.0)

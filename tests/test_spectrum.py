@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.accelerator.registry import ACCELERATORS
-from repro.accelerator.simulator import GCN_VARIANTS
+from repro.accelerator.pipeline import GCN_VARIANTS
 from repro.core.config import CacheConfig, SystemConfig
 from repro.core.runspec import RunSpec, build_config
 from repro.core.session import (

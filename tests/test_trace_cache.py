@@ -1,13 +1,9 @@
-"""Session-level trace caching and the bench harness."""
+"""Session-level trace caching."""
 
 import json
 
-import pytest
-
 from repro.core.runspec import RunSpec
 from repro.core.session import Session
-from repro.errors import ConfigurationError
-from repro.experiments.cli import main
 
 
 class TestSessionTraceCache:
@@ -59,62 +55,3 @@ class TestSessionTraceCache:
         session.clear_caches()
         assert len(session.trace_cache) == 0
 
-
-class TestBenchHarness:
-    def test_bench_pack_reports_timing(self):
-        from repro.bench import bench_pack
-
-        result = bench_pack("hbm-generation", max_vertices=96, repeats=1)
-        assert result.runs == 18
-        assert result.vectorized_s > 0
-        document = result.to_dict()
-        assert {"pack", "runs", "repeats", "vectorized_s", "phases"} <= set(document)
-        assert not {"legacy_s", "speedup"} & set(document)
-
-    def test_run_benchmarks_schema_and_output(self, tmp_path):
-        from repro.bench import BENCH_SCHEMA_VERSION, run_benchmarks
-
-        out = tmp_path / "BENCH_test.json"
-        document = run_benchmarks(cases=[("hbm-generation", 96)], repeats=1, out=out)
-        assert out.exists()
-        loaded = json.loads(out.read_text())
-        assert loaded == json.loads(json.dumps(document))
-        assert loaded["benchmark"] == "trace_engine"
-        assert loaded["schema_version"] == BENCH_SCHEMA_VERSION == 4
-        assert "baseline" not in loaded
-        assert set(loaded["summary"]) == {"total_vectorized_s", "min_spectrum_speedup"}
-        assert loaded["summary"]["total_vectorized_s"] > 0
-
-    @pytest.mark.parametrize("repeats", [0, -1])
-    def test_run_benchmarks_rejects_nonpositive_repeats(self, repeats):
-        from repro.bench import bench_pack, run_benchmarks
-
-        with pytest.raises(ConfigurationError):
-            run_benchmarks(cases=[("hbm-generation", 96)], repeats=repeats)
-        with pytest.raises(ConfigurationError):
-            bench_pack("hbm-generation", max_vertices=96, repeats=repeats)
-
-    def test_cli_bench_rejects_zero_repeats(self, tmp_path, capsys):
-        out = tmp_path / "BENCH.json"
-        code = main(["bench", "hbm-generation", "--repeats", "0", "--out", str(out)])
-        assert code == 2
-        assert "repeats" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_cli_bench_max_vertices_needs_a_pack(self, tmp_path, capsys):
-        out = tmp_path / "BENCH.json"
-        code = main(["bench", "--max-vertices", "96", "--out", str(out)])
-        assert code == 2
-        assert "--max-vertices" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_cli_bench_quick(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_quick.json"
-        code = main(["bench", "--quick", "--out", str(out)])
-        assert code == 0
-        assert out.exists()
-        loaded = json.loads(out.read_text())
-        assert loaded["quick"] is True
-        assert loaded["results"][0]["vectorized_s"] > 0
-        stdout = capsys.readouterr().out
-        assert "vectorized=" in stdout and "wrote" in stdout
