@@ -389,7 +389,7 @@ class Session:
         the cache section is meaningful even when spans are off.
         """
         replay_memo = {"hits": 0, "misses": 0, "evictions": 0, "entries": 0,
-                       "engines": 0}
+                       "tree_walks": 0, "engines": 0}
         for value in self._traces.values():
             if isinstance(value, ReplayEngine):
                 replay_memo["engines"] += 1

@@ -250,7 +250,12 @@ class BEICSRFormat(FeatureFormat):
     # Functional encode / decode
     # ------------------------------------------------------------------ #
     def _effective_slice(self, width: int) -> int:
-        return self.slice_size if self.slice_size is not None else width
+        if self.slice_size is not None:
+            return self.slice_size
+        if width <= 0:
+            # The non-sliced layout's one slice spans the whole row.
+            raise FormatError("non-sliced layout dimensions must be positive")
+        return width
 
     def encode(self, matrix: np.ndarray) -> EncodedFeatures:
         matrix = np.asarray(matrix, dtype=np.float32)

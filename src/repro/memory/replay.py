@@ -21,15 +21,28 @@ every replay in this repository works, the per-pass size table — the
 condition is exact, and matches the per-access ``RowCache`` oracle in
 ``tests/oracles.py`` bit for bit (the golden equivalence tests pin this).
 
-The distinct-footprint sums are reuse-interval computations.  We evaluate
-them with an offline mergesort tree: for every access ``i`` with previous
-occurrence ``p``, the sum of ``w[j]`` over window positions ``p < j < i``
-whose own previous occurrence lies at or before ``p`` (i.e. the first
-in-window occurrence of each distinct row).  The tree's permutations and
-query positions depend only on the *trace*, not on the sizes, so the
-structure is built once per trace (:class:`ReplayEngine`) and each
-evaluation — per feature pass, per layer, per accelerator configuration —
-is a handful of gathers and cumulative sums.
+The distinct-footprint sums are reuse-interval computations.  Most
+accesses need no exact sum: in the spirit of LRU stack-distance analysis
+(Mattson et al. 1970), a size-independent count decides them.  The engine
+keeps, per access, the number of distinct rows in its reuse window; with
+the window's plain interval sum and the smallest and largest weight of the
+evaluation, that brackets the footprint between a lower and an upper bound
+(exact for a constant size table).  An access is a certain hit when the
+upper bound fits the capacity and a certain miss when the lower bound does
+not — about 97% of the repeat accesses of the ``paper-comparison`` figures.
+
+Only the undecided accesses get an exact sum, from an offline mergesort
+tree: for every access ``i`` with previous occurrence ``p``, the sum of
+``w[j]`` over window positions ``p < j < i`` whose own previous occurrence
+lies at or before ``p`` (i.e. the first in-window occurrence of each
+distinct row).  The tree's permutations and query positions depend only on
+the *trace*, not on the sizes, so the structure — and the distinct counts,
+which are its unit-weight sums — is built once per trace
+(:class:`ReplayEngine`).  Each evaluation — per feature pass, per layer,
+per accelerator configuration — is then a bounds pass of a dozen flat
+array operations, plus, when an access is undecided, one gather and one
+cumulative sum over the tree and lookups over the undecided accesses'
+entries only.
 
 The build is one pass per tree level with no sort, ``searchsorted`` or
 ``levels x n`` matrix, in the spirit of one-pass LRU stack processing
@@ -110,8 +123,9 @@ class ReplayEngine:
     """Array-based replay of one access trace through the LRU row cache.
 
     The engine precomputes everything that depends only on the trace — the
-    previous-occurrence links and the mergesort-tree used for the
-    distinct-footprint sums — so that :meth:`replay` / :meth:`replay_many`
+    previous-occurrence links, the per-access window distinct counts that
+    bound the footprints, and the mergesort tree that gives the exact
+    footprints the bounds leave open — so that :meth:`replay` / :meth:`replay_many`
     evaluate a new per-row size table (a new feature pass or layer) without
     touching a Python loop.
 
@@ -138,9 +152,8 @@ class ReplayEngine:
             self.total_accesses = int(trace.size)
             self.trace = trace
             prev = _previous_occurrences(trace)
-            # Eval-loop constants: clipped previous-occurrence index (+1, for
-            # the exclusive prefix-sum lookup) and the repeat-access mask.
-            self._seen_before = prev >= 0
+            # Eval-loop constant: clipped previous-occurrence index (+1, for
+            # the exclusive prefix-sum lookup).
             self._prev_plus1 = (np.maximum(prev, 0) + 1).astype(_INDEX_DTYPE)
             self._build_structure(trace.size, prev)
         # Result memo keyed by (size-table digest, pinned-set digest,
@@ -151,6 +164,8 @@ class ReplayEngine:
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_evictions = 0
+        # Evaluations whose footprint bounds left some access undecided.
+        self.tree_walks = 0
         # Size-table and pinned-set digest memo keyed by object identity.
         # The strong reference to the array keeps its id() from being
         # recycled; the simulator never mutates them in place, so identity
@@ -205,10 +220,18 @@ class ReplayEngine:
         Finally the per-level query entries are grouped by position (levels
         ascending inside a group) by a counting placement into
         ``bincount``/``cumsum`` slots.
+
+        One segment reduction of the tree's unit-weight sums gives the
+        bounds pass its one trace-only array: ``_distinct[i]``, the number of
+        distinct rows in the reuse window ``[p, i]`` of a repeat access
+        (``i - p`` minus the ``sum(hi - lo)`` of its entries), 0 for a first
+        occurrence.
         """
         seen = prev >= 0
         repeats = np.flatnonzero(seen).astype(_INDEX_DTYPE)
         num_repeats = repeats.size
+        self._distinct = np.zeros(n, dtype=_INDEX_DTYPE)
+        self._distinct[repeats] = repeats - prev[repeats]
         if num_repeats == 0:
             self._gather = np.zeros(0, dtype=_INDEX_DTYPE)
             self._reduce_starts = np.zeros(0, dtype=_INDEX_DTYPE)
@@ -274,13 +297,16 @@ class ReplayEngine:
             self._hi[slots] = hi
             fill[rows] = slots + 1
         self._gather = np.concatenate(segments)
+        self._distinct[self._query_rows] -= np.add.reduceat(
+            self._hi - self._lo, self._reduce_starts
+        )
 
     def structure_bytes(self) -> int:
         """Memory footprint of every array the engine keeps."""
         return int(
             self.trace.nbytes
             + self._prev_plus1.nbytes
-            + self._seen_before.nbytes
+            + self._distinct.nbytes
             + self._gather.nbytes
             + self._reduce_starts.nbytes
             + self._query_rows.nbytes
@@ -390,61 +416,132 @@ class ReplayEngine:
             self.memo_evictions += 1
 
     def memo_stats(self) -> Dict[str, int]:
-        """Hit/miss/eviction counters of the per-(table, pinned set, capacity) memo."""
+        """Counters of the per-(table, pinned set, capacity) memo.
+
+        ``tree_walks`` counts the evaluations (one per weight vector) whose
+        footprint bounds left an access undecided, so the tree was walked.
+        """
         return {
             "hits": self.memo_hits,
             "misses": self.memo_misses,
             "evictions": self.memo_evictions,
             "entries": len(self._memo),
+            "tree_walks": self.tree_walks,
         }
 
-    def _footprint(self, sizes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Distinct in-window footprint per access for one weight vector.
+    def _footprint_bounds(
+        self, sizes: np.ndarray, weights: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Interval sum and lower/upper bounds of each access's footprint.
 
-        Depends on the capacity only through ``weights`` (the streaming
-        threshold ``sizes <= cap``), so every capacity with the same weight
-        vector shares one call — the basis of :meth:`replay_spectrum`.
+        For a repeat access ``i`` with previous occurrence ``p``, the exact
+        footprint ``F`` is the interval sum ``U`` (``size[i]`` plus every
+        weight in ``(p, i)``) less the weights of the ``dups`` in-window
+        positions that repeat a row seen earlier in the window.  The window
+        holds ``others = _distinct[i] - 1`` distinct rows, so with every
+        weight in ``[wmin, wmax]``::
+
+            max(U - dups*wmax, size + others*wmin) <= F
+                <= min(U - dups*wmin, size + others*wmax)
+
+        Both bounds equal ``F`` when ``dups == 0`` or ``wmin == wmax``.
+        Entries of first occurrences are meaningless; callers mask them.
+
+        Returns:
+            ``(interval, lower, upper)``, each one ``int64`` per access.
         """
         n = self.trace.size
         cumulative = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(weights, out=cumulative[1:])
-        # footprint = (interval sum) - duplicates = distinct in-window sizes
-        footprint = cumulative[:-1] - cumulative[self._prev_plus1]
-        footprint += sizes
+        interval = cumulative[:-1] - cumulative[self._prev_plus1]
+        interval += sizes
+        # int64 before any product: a window count times a row size can
+        # pass 2**31.
+        others = np.subtract(self._distinct, 1, dtype=np.int64)
+        dups = np.arange(1, n + 1, dtype=np.int64)  # i - p - 1 - others
+        dups -= self._prev_plus1
+        dups -= self._distinct
+        wmin, wmax = int(weights.min()), int(weights.max())
+        # lower = max(U - dups*wmax, size + others*wmin), then upper in the
+        # space of ``dups`` and ``others``, which are not needed after.
+        lower = dups * wmax
+        np.subtract(interval, lower, out=lower)
+        np.maximum(lower, others * wmin + sizes, out=lower)
+        upper = np.multiply(dups, wmin, out=dups)
+        np.subtract(interval, upper, out=upper)
+        others *= wmax
+        others += sizes
+        np.minimum(upper, others, out=upper)
+        return interval, lower, upper
 
-        # Duplicate-occurrence sums via the flattened tree: one gather, one
-        # cumulative sum, one suffix-sum lookup, one exact segment reduction.
-        # The gathers write straight into their outputs in chunks, so the
-        # only tree-sized arrays an evaluation allocates are those outputs
-        # (``take`` converts each index chunk to ``intp``; ``mode="clip"``
-        # skips the buffering of ``out``, and every index is in range by
-        # construction).
-        if self._gather.size:
-            tree_cumulative = np.empty(self._gather.size + 1, dtype=np.int64)
-            tree_cumulative[0] = 0
-            permuted = tree_cumulative[1:]
-            for start in range(0, self._gather.size, _EVAL_CHUNK):
-                chunk = slice(start, start + _EVAL_CHUNK)
-                np.take(weights, self._gather[chunk], out=permuted[chunk], mode="clip")
-            np.cumsum(permuted, out=permuted)
-            contributions = np.empty(self._lo.size, dtype=np.int64)
-            for start in range(0, self._lo.size, _EVAL_CHUNK):
-                chunk = slice(start, start + _EVAL_CHUNK)
-                out = contributions[chunk]
-                np.take(tree_cumulative, self._hi[chunk], out=out, mode="clip")
-                out -= tree_cumulative[self._lo[chunk]]
-            footprint[self._query_rows] -= np.add.reduceat(
-                contributions, self._reduce_starts
-            )
-        return footprint
+    def _duplicate_sums(self, weights: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """Weight of the in-window duplicates of each access in ``queries``.
+
+        ``queries`` must be ascending and have tree entries (``dups > 0``).
+        One gather and one cumulative sum over the whole tree, then the
+        suffix-sum lookups and the segment reduction over the queries' own
+        entries only.  The gather writes straight into its output in chunks
+        (``take`` converts each index chunk to ``intp``; ``mode="clip"``
+        skips the buffering of ``out``, and every index is in range by
+        construction).
+        """
+        tree_cumulative = np.empty(self._gather.size + 1, dtype=np.int64)
+        tree_cumulative[0] = 0
+        permuted = tree_cumulative[1:]
+        for start in range(0, self._gather.size, _EVAL_CHUNK):
+            chunk = slice(start, start + _EVAL_CHUNK)
+            np.take(weights, self._gather[chunk], out=permuted[chunk], mode="clip")
+        np.cumsum(permuted, out=permuted)
+
+        group_bounds = np.append(self._reduce_starts, self._lo.size)
+        groups = np.searchsorted(self._query_rows, queries)
+        starts = group_bounds[groups]
+        counts = group_bounds[groups + 1] - starts
+        offsets = np.zeros(queries.size, dtype=np.intp)
+        np.cumsum(counts[:-1], out=offsets[1:])
+        slots = np.repeat(starts - offsets, counts)
+        slots += np.arange(slots.size)
+        contributions = tree_cumulative[self._hi[slots]]
+        contributions -= tree_cumulative[self._lo[slots]]
+        return np.add.reduceat(contributions, offsets)
+
+    def _hit_masks(
+        self, access: _AccessSizes, weights: np.ndarray, caps: Sequence[int]
+    ) -> List[np.ndarray]:
+        """Hit mask per capacity, for capacities that share one weight vector.
+
+        An access is a certain hit when its upper footprint bound fits the
+        capacity and a certain miss when its lower bound does not.  Only the
+        accesses some capacity leaves undecided get an exact footprint from
+        the tree, and then for every capacity at once.
+        """
+        interval, lower, upper = self._footprint_bounds(access.sizes, weights)
+        hits = []
+        undecided = np.zeros(self.trace.size, dtype=bool)
+        for capacity in caps:
+            hit = upper <= capacity
+            hit &= access.replayed
+            hits.append(hit)
+            straddles = lower <= capacity
+            straddles &= upper > capacity
+            undecided |= straddles
+        undecided &= access.replayed
+        queries = np.flatnonzero(undecided)
+        if queries.size:
+            self.tree_walks += 1
+            footprint = interval[queries] - self._duplicate_sums(weights, queries)
+            for capacity, hit in zip(caps, hits):
+                hit[queries] = footprint <= capacity
+        return hits
 
     def _access_sizes(
         self, table: np.ndarray, pinned: Optional[np.ndarray]
     ) -> _AccessSizes:
         """Per-access sizes of one table, with the pinned partition split off."""
         sizes = table[self.trace]
+        repeats = self._distinct > 0
         if pinned is None:
-            return _AccessSizes(sizes, self._seen_before, 0, 0)
+            return _AccessSizes(sizes, repeats, 0, 0)
         top = int(self.trace.max())
         lookup = np.zeros(top + 1, dtype=bool)
         lookup[pinned[pinned <= top]] = True
@@ -453,18 +550,13 @@ class ReplayEngine:
         sizes[in_partition] = 0
         return _AccessSizes(
             sizes,
-            self._seen_before & ~in_partition,
+            repeats & ~in_partition,
             int(np.count_nonzero(in_partition)),
             pinned_lines,
         )
 
-    def _hit_stats(
-        self, access: _AccessSizes, footprint: np.ndarray, capacity_lines: int
-    ) -> RowCacheStats:
-        """Fold one capacity's hit test over a precomputed footprint array."""
-        hit = footprint <= capacity_lines
-        hit &= access.replayed
-
+    def _hit_stats(self, access: _AccessSizes, hit: np.ndarray) -> RowCacheStats:
+        """Fold one capacity's hit mask into the replay statistics."""
         sizes = access.sizes
         hits = int(np.count_nonzero(hit)) + access.pinned_accesses
         hit_lines = int(sizes.sum(where=hit, initial=0))
@@ -483,8 +575,8 @@ class ReplayEngine:
             return RowCacheStats()
         access = self._access_sizes(table, pinned)
         weights = np.where(access.sizes <= capacity_lines, access.sizes, 0)
-        footprint = self._footprint(access.sizes, weights)
-        return self._hit_stats(access, footprint, capacity_lines)
+        [hit] = self._hit_masks(access, weights, [capacity_lines])
+        return self._hit_stats(access, hit)
 
     def replay_spectrum(
         self,
@@ -499,9 +591,10 @@ class ReplayEngine:
         (``sizes <= cap``) and the final ``footprint <= cap`` compare.  Two
         capacities produce identical weight vectors iff no access size lies
         strictly between them, so the capacities are grouped by
-        ``searchsorted`` over the unique access sizes: one footprint
-        computation per group, then one cheap broadcast hit test per
-        capacity.  In the common case — every row fits in every queried
+        ``searchsorted`` over the unique access sizes: one bounds pass per
+        group, one cheap hit test per capacity, and at most one tree walk
+        per group, for the union of the accesses its capacities leave
+        undecided.  In the common case — every row fits in every queried
         capacity — that is a *single* group for the entire spectrum.
 
         Results are stored in the same ``(table-digest, pinned-digest,
@@ -602,11 +695,11 @@ class ReplayEngine:
         group_of = np.searchsorted(unique_sizes, caps_arr, side="right")
         out: Dict[int, RowCacheStats] = {}
         for group in np.unique(group_of):
-            group_caps = caps_arr[group_of == group]
-            weights = np.where(sizes <= int(group_caps[0]), sizes, 0)
-            footprint = self._footprint(sizes, weights)
-            for capacity in group_caps.tolist():
-                out[capacity] = self._hit_stats(access, footprint, capacity)
+            group_caps = caps_arr[group_of == group].tolist()
+            weights = np.where(sizes <= group_caps[0], sizes, 0)
+            hits = self._hit_masks(access, weights, group_caps)
+            for capacity, hit in zip(group_caps, hits):
+                out[capacity] = self._hit_stats(access, hit)
         return out
 
     def replay(

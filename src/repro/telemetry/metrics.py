@@ -184,7 +184,7 @@ def _render_counters(
         ratio_text = f"{100.0 * ratio:5.1f}% hit" if ratio is not None else "  (unused)"
         detail = ", ".join(
             f"{key}={block[key]}"
-            for key in ("hits", "misses", "evictions", "entries", "bytes")
+            for key in ("hits", "misses", "evictions", "entries", "bytes", "tree_walks")
             if key in block
         )
         lines.append(f"{'  ' * indent}{name:<14}{ratio_text}  [{detail}]")

@@ -8,6 +8,9 @@ Each function here is the plain loop the corresponding fast path in
 * :class:`RowCacheEngine` — a drop-in for ``ReplayEngine`` that answers every
   replay call through :class:`RowCache`, so the golden test can run the whole
   pipeline on the oracles;
+* :func:`footprint_reference` — the exact distinct-footprint of every access
+  from a full walk of a ``ReplayEngine``'s mergesort tree, which the engine's
+  footprint bounds must bracket;
 * the loop trace builders and BFS reordering of
   :mod:`repro.accelerator.tiling`;
 * the loop-over-slices twin of :func:`repro.gcn.sparsity.per_slice_nonzeros`;
@@ -184,6 +187,29 @@ class RowCacheEngine:
         pinned: Optional[np.ndarray] = None,
     ) -> List[List[RowCacheStats]]:
         return [self.replay_spectrum(table, capacities, pinned) for table in size_tables]
+
+
+def footprint_reference(engine, sizes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Exact distinct in-window footprint of every access of ``engine``'s trace.
+
+    The interval sum of ``weights`` over each reuse window plus the access's
+    own size, less the in-window duplicates summed over *every* query entry
+    of the engine's flattened mergesort tree.  Entries of first occurrences
+    are meaningless.
+    """
+    n = engine.trace.size
+    cumulative = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(weights, out=cumulative[1:])
+    footprint = cumulative[:-1] - cumulative[engine._prev_plus1]
+    footprint += sizes
+    if engine._gather.size:
+        tree_cumulative = np.zeros(engine._gather.size + 1, dtype=np.int64)
+        np.cumsum(weights[engine._gather], out=tree_cumulative[1:])
+        contributions = tree_cumulative[engine._hi] - tree_cumulative[engine._lo]
+        footprint[engine._query_rows] -= np.add.reduceat(
+            contributions, engine._reduce_starts
+        )
+    return footprint
 
 
 # --------------------------------------------------------------------------- #

@@ -1,12 +1,13 @@
 """The sort-free replay-structure build against its sort-based oracle.
 
 :meth:`ReplayEngine._build_structure` derives the flattened mergesort tree
-(``_gather``, ``_reduce_starts``, ``_query_rows``, ``_lo``, ``_hi``) with
-scatters and prefix counts only.  :func:`reference_structure` below is the
-original construction — one composite-key ``argsort`` over a dense
-``levels x n`` side matrix, a ``searchsorted`` per query and an ``argsort``
-grouping — kept here as the slow oracle.  Every array must match it exactly,
-dtype included.
+(``_gather``, ``_reduce_starts``, ``_query_rows``, ``_lo``, ``_hi``) and the
+per-access window distinct counts (``_distinct``) with scatters and prefix
+counts only.  :func:`reference_structure` below is the original construction
+— one composite-key ``argsort`` over a dense ``levels x n`` side matrix, a
+``searchsorted`` per query and an ``argsort`` grouping — kept here as the
+slow oracle, with the distinct counts taken from its ``searchsorted`` bounds.
+Every array must match it exactly, dtype included.
 """
 
 from typing import Dict
@@ -20,13 +21,20 @@ from repro.memory.replay import (
     _previous_occurrences,
 )
 
-STRUCTURE_ARRAYS = ("_gather", "_reduce_starts", "_query_rows", "_lo", "_hi")
+STRUCTURE_ARRAYS = ("_gather", "_reduce_starts", "_query_rows", "_lo", "_hi", "_distinct")
 
 
 def reference_structure(n: int, prev: np.ndarray) -> Dict[str, np.ndarray]:
     """Sort-based mergesort-tree build (the oracle for the engine's build)."""
-    if n < 2 or not np.any(prev >= 0):
-        return {name: np.zeros(0, dtype=_INDEX_DTYPE) for name in STRUCTURE_ARRAYS}
+    # Distinct rows in the window [p, i]: its i - p + 1 positions, less the
+    # in-window duplicates (each query entry's hi - lo), less the second r.
+    distinct = np.zeros(n, dtype=_INDEX_DTYPE)
+    seen = prev >= 0
+    distinct[seen] = np.flatnonzero(seen) - prev[seen]
+    if n < 2 or not np.any(seen):
+        arrays = {name: np.zeros(0, dtype=_INDEX_DTYPE) for name in STRUCTURE_ARRAYS}
+        arrays["_distinct"] = distinct
+        return arrays
 
     # Position j is a contributor at level l (half-width 2**(l-1)) iff bit
     # l-1 of j is 0, a query iff it is 1; (level, block) pairs are numbered
@@ -34,7 +42,6 @@ def reference_structure(n: int, prev: np.ndarray) -> Dict[str, np.ndarray]:
     num_levels = max(1, int(np.ceil(np.log2(n))))
     levels = np.arange(1, num_levels + 1, dtype=np.int64)
     positions = np.arange(n, dtype=np.int64)
-    seen = prev >= 0
     side = (positions[None, :] >> (levels[:, None] - 1)) & 1
     level_of, pos_of = np.nonzero((side == 0) & seen[None, :])
     level_of += 1
@@ -62,6 +69,7 @@ def reference_structure(n: int, prev: np.ndarray) -> Dict[str, np.ndarray]:
     segment_ends = np.cumsum(np.bincount(node_sorted, minlength=max_node + 2))
     hi = segment_ends[np.minimum(q_node, max_node + 1)]
 
+    np.subtract.at(distinct, q_pos, hi - lo)
     grouping = np.argsort(q_pos, kind="stable")
     grouped = q_pos[grouping]
     is_start = np.ones(grouped.size, dtype=bool)
@@ -73,6 +81,7 @@ def reference_structure(n: int, prev: np.ndarray) -> Dict[str, np.ndarray]:
         "_query_rows": grouped[is_start].astype(_INDEX_DTYPE),
         "_lo": lo[grouping].astype(_INDEX_DTYPE),
         "_hi": hi[grouping].astype(_INDEX_DTYPE),
+        "_distinct": distinct,
     }
 
 
@@ -200,3 +209,7 @@ class TestStructureBytes:
         arrays = [value for value in vars(engine).values() if isinstance(value, np.ndarray)]
         assert engine.structure_bytes() == sum(array.nbytes for array in arrays)
         assert not hasattr(engine, "prev")
+        # The bounds pass keeps one int32 per access and nothing else: the
+        # window distinct counts replaced the repeat-access mask.
+        assert not hasattr(engine, "_seen_before")
+        assert engine._distinct.dtype == np.int32 and engine._distinct.size == length

@@ -140,6 +140,9 @@ class TestCounters:
         }
         assert set(snapshot["caches"]) == expected_caches
         assert snapshot["caches"]["replay_memo"]["engines"] >= 1
+        assert set(snapshot["caches"]["replay_memo"]) == {
+            "hits", "misses", "evictions", "entries", "tree_walks", "engines",
+        }
         assert snapshot["caches"]["trace"]["bytes"] > 0
 
 
@@ -203,6 +206,13 @@ class TestMetricsAlgebra:
         rendered = render_metrics(run_doc)
         assert "metrics schema v1 (run-profile)" in rendered
         assert "abc123" in rendered
+
+    def test_render_shows_replay_tree_walks(self):
+        document = {
+            "schema_version": 1,
+            "caches": {"replay_memo": {"hits": 3, "misses": 2, "tree_walks": 1}},
+        }
+        assert "tree_walks=1" in render_metrics(document)
 
 
 # --------------------------------------------------------------------------- #
